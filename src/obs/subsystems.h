@@ -128,8 +128,10 @@ struct GraphEvalCounters {
   Counter& evals = *GetCounter("graph.evals");
   Counter& product_states = *GetCounter("graph.product_states");
   // Live mutation path (server/graph_store.h): applied update ops, and the
-  // wall-clock cost of republishing a graph version (frozen copy + CSR
-  // snapshot + relational image) per update batch.
+  // wall-clock cost of republishing a graph version per update batch (and
+  // per Load): frozen graph copy, CSR snapshot and view swap only. The
+  // batch's ops, closure deltas and closure-image merges run before this
+  // clock starts, and the relational image is built later, on first use.
   Counter& mutations = *GetCounter("graph.mutations");
   Histogram& rebuild_ns = *GetHistogram("graph.rebuild_ns");
   // Per-level frontier sizes and per-eval product states visited.
@@ -149,12 +151,15 @@ struct GraphEvalCounters {
 // pairs_added counts closure pairs derived from deltas (the work the
 // fixpoint never re-ran); fallbacks counts label closures demoted to full
 // re-evaluation because a delta product blew the budget or a deadline/
-// memory trip left the closure partial.
+// memory trip left the closure partial; images counts the sorted closure
+// images the serving store built: one per seed, and one per batch for each
+// live label whose closure grew.
 struct IncrCounters {
   Counter& pairs_added = *GetCounter("incr.pairs_added");
   Counter& fallbacks = *GetCounter("incr.fallbacks");
   Counter& seeds = *GetCounter("incr.seeds");
   Counter& closure_evals = *GetCounter("incr.closure_evals");
+  Counter& images = *GetCounter("incr.images");
 
   static IncrCounters& Get();
 };

@@ -1,6 +1,9 @@
 #include "server/graph_store.h"
 
+#include <algorithm>
 #include <chrono>
+#include <numeric>
+#include <span>
 #include <utility>
 
 #include "cache/key.h"
@@ -20,7 +23,75 @@ uint64_t NowNanos() {
           .count());
 }
 
+bool RowLess(const Value* a, const Value* b, size_t arity) {
+  return std::lexicographical_compare(a, a + arity, b, b + arity);
+}
+
+// Flattens `tuples` first so the sort compares contiguous rows, then
+// gathers them in order.
+SortedRows SortTuples(std::span<const Tuple> tuples, size_t arity) {
+  std::vector<Value> flat;
+  flat.reserve(tuples.size() * arity);
+  for (const Tuple& tuple : tuples) {
+    flat.insert(flat.end(), tuple.begin(), tuple.end());
+  }
+  std::vector<uint32_t> order(tuples.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return RowLess(flat.data() + a * arity, flat.data() + b * arity, arity);
+  });
+  SortedRows out;
+  out.arity = arity;
+  out.rows = tuples.size();
+  out.values.reserve(flat.size());
+  for (uint32_t i : order) {
+    const Value* row = flat.data() + i * arity;
+    out.values.insert(out.values.end(), row, row + arity);
+  }
+  return out;
+}
+
+// `image` plus the pairs `closure` gained past image.size(): the new pairs
+// are sorted on their own and merged in, linear in the image. A Relation
+// holds no duplicates, so neither does the merge.
+SortedRows MergeGrowth(const SortedRows& image, const Relation& closure) {
+  SortedRows added =
+      SortTuples(std::span(closure.tuples()).subspan(image.size()),
+                 image.arity);
+  SortedRows out;
+  out.arity = image.arity;
+  out.rows = image.rows + added.rows;
+  out.values.reserve(image.values.size() + added.values.size());
+  size_t i = 0;
+  size_t j = 0;
+  while (i < image.rows || j < added.rows) {
+    bool from_image =
+        j == added.rows ||
+        (i < image.rows && RowLess(image.row(i), added.row(j), image.arity));
+    const Value* row = from_image ? image.row(i++) : added.row(j++);
+    out.values.insert(out.values.end(), row, row + image.arity);
+  }
+  return out;
+}
+
 }  // namespace
+
+SortedRows SortRows(const Relation& relation) {
+  return SortTuples(relation.tuples(), relation.arity());
+}
+
+RelationalImage::RelationalImage(std::shared_ptr<const GraphDb> graph)
+    : state_(std::make_shared<State>()) {
+  state_->graph = std::move(graph);
+}
+
+const Database& RelationalImage::operator*() const {
+  RQ_CHECK(state_ != nullptr);
+  std::call_once(state_->built, [this] {
+    state_->database = GraphToDatabase(*state_->graph);
+  });
+  return state_->database;
+}
 
 GraphStore::GraphStore(GraphStoreOptions options)
     : options_(options), closures_(options.incr_delta_budget) {
@@ -61,14 +132,8 @@ void GraphStore::PublishLocked() {
   auto frozen = std::make_shared<const GraphDb>(master_);
   view->graph = frozen;
   view->snapshot = frozen->Snapshot();
-  view->database = std::make_shared<const Database>(GraphToDatabase(*frozen));
-  {
-    auto closures = std::make_shared<ClosureMap>();
-    for (const auto& [label, image] : closure_images_) {
-      closures->emplace(label, image);
-    }
-    view->closures = std::move(closures);
-  }
+  view->database = RelationalImage(frozen);
+  view->closures = std::make_shared<const ClosureMap>(closure_images_);
   {
     std::lock_guard<std::mutex> lock(view_mu_);
     view_ = std::move(view);
@@ -90,7 +155,6 @@ Result<GraphStore::UpdateResult> GraphStore::Apply(
   size_t nodes_before = master_.num_nodes();
   Status failure = Status::Ok();
   size_t applied = 0;
-  std::vector<uint32_t> touched_labels;
   for (const UpdateOp& op : ops) {
     if (Status s = CheckExecContext(); !s.ok()) {
       failure = s;
@@ -110,7 +174,6 @@ Result<GraphStore::UpdateResult> GraphStore::Apply(
         uint32_t label = master_.alphabet().InternLabel(op.label);
         master_.AddEdge(src, label, dst);
         ++result.edges_added;
-        touched_labels.push_back(label);
         // Maintain the label's closure from the delta. Over-budget demotes
         // the label inside PerLabelClosure (counted in incr.fallbacks) and
         // is not a batch failure; a resource trip aborts the batch — the
@@ -128,17 +191,7 @@ Result<GraphStore::UpdateResult> GraphStore::Apply(
     if (!failure.ok()) break;
     ++applied;
   }
-  // Refresh the immutable closure images for every label the batch
-  // touched: a demoted label's image is dropped, a maintained one is
-  // re-copied (one deep copy per touched label per BATCH, not per edge).
-  for (uint32_t label : touched_labels) {
-    const Relation* maintained = closures_.closure(label);
-    if (maintained == nullptr) {
-      closure_images_.erase(label);
-    } else {
-      closure_images_[label] = std::make_shared<const Relation>(*maintained);
-    }
-  }
+  RefreshImagesLocked();
   if (applied > 0 || failure.ok()) {
     ++epoch_;
     counters.mutations.Add(applied);
@@ -150,6 +203,23 @@ Result<GraphStore::UpdateResult> GraphStore::Apply(
   return result;
 }
 
+void GraphStore::RefreshImagesLocked() {
+  for (auto it = closure_images_.begin(); it != closure_images_.end();) {
+    const Relation* maintained = closures_.closure(it->first);
+    if (maintained == nullptr) {  // demoted by this batch
+      it = closure_images_.erase(it);
+      continue;
+    }
+    if (maintained->size() != it->second->size()) {
+      it->second =
+          std::make_shared<const SortedRows>(MergeGrowth(*it->second,
+                                                         *maintained));
+      obs::IncrCounters::Get().images.Increment();
+    }
+    ++it;
+  }
+}
+
 void GraphStore::SeedClosure(const GraphView& view, uint32_t label,
                              Relation base, Relation closure) {
   std::lock_guard<std::mutex> lock(writer_mu_);
@@ -159,7 +229,8 @@ void GraphStore::SeedClosure(const GraphView& view, uint32_t label,
   if (view.epoch != epoch_ || epoch_ == 0) return;
   closures_.Seed(label, std::move(base), std::move(closure));
   closure_images_[label] =
-      std::make_shared<const Relation>(*closures_.closure(label));
+      std::make_shared<const SortedRows>(SortRows(*closures_.closure(label)));
+  obs::IncrCounters::Get().images.Increment();
   // Republish the closure map at the SAME epoch: the graph is unchanged,
   // so requests already pinned to this epoch may keep their view, and new
   // admissions pick up the maintained closure without a version bump.
@@ -168,24 +239,25 @@ void GraphStore::SeedClosure(const GraphView& view, uint32_t label,
     return view_;
   }();
   auto updated = std::make_shared<GraphView>(*current);
-  auto closures = std::make_shared<ClosureMap>(closure_images_);
-  updated->closures = std::move(closures);
+  updated->closures = std::make_shared<const ClosureMap>(closure_images_);
   std::lock_guard<std::mutex> view_lock(view_mu_);
   view_ = std::move(updated);
 }
 
-std::shared_ptr<const Relation> GraphStore::LookupEval(std::string_view key) {
+std::shared_ptr<const SortedRows> GraphStore::LookupEval(
+    std::string_view key) {
   if (!eval_cache_.has_value()) return nullptr;
   return eval_cache_->Get(key);
 }
 
-std::shared_ptr<const Relation> GraphStore::StoreEval(std::string key,
-                                                      Relation answer) {
-  size_t bytes = answer.size() * kApproxClosurePairBytes;
+std::shared_ptr<const SortedRows> GraphStore::StoreEval(
+    std::string key, const Relation& answer) {
+  SortedRows rows = SortRows(answer);
   if (!eval_cache_.has_value()) {
-    return std::make_shared<const Relation>(std::move(answer));
+    return std::make_shared<const SortedRows>(std::move(rows));
   }
-  return eval_cache_->Put(std::move(key), std::move(answer), bytes);
+  size_t bytes = rows.values.size() * sizeof(Value);
+  return eval_cache_->Put(std::move(key), std::move(rows), bytes);
 }
 
 std::string GraphStore::EvalCacheKey(uint64_t epoch, std::string_view cls,

@@ -3,27 +3,31 @@
 //
 // The store owns the master GraphDb behind a writer mutex and publishes
 // immutable GraphViews: a frozen copy of the graph, its CSR snapshot
-// (graph/snapshot.h), its relational image (rq/eval.h GraphToDatabase),
-// and the per-label transitive-closure images maintained incrementally
-// (relational/incremental.h) — all behind one monotonically increasing
-// epoch. Consistency model:
+// (graph/snapshot.h), a handle to its relational image (rq/eval.h
+// GraphToDatabase), and one sorted image per incrementally maintained
+// label closure (relational/incremental.h) — all behind one monotonically
+// increasing epoch. Consistency model:
 //
 //   * Readers never block on writers: Acquire() is a shared_ptr copy under
-//     a dedicated view mutex held for nanoseconds; the expensive republish
-//     happens off to the side under the writer mutex, then swaps in.
+//     a dedicated view mutex held for nanoseconds; the republish happens
+//     off to the side under the writer mutex, then swaps in.
 //   * A request pins its view at admission time and evaluates against it
 //     for its whole lifetime — mutations that land mid-request are
 //     invisible to it (the epoch in the response says which version
 //     answered).
-//   * Writers republish once per update BATCH, not per edge: the rebuild
-//     (graph copy + counting-sort snapshot + relational image) is
-//     amortized over the batch and its wall-clock is recorded in
-//     graph.rebuild_ns.
+//   * Writers republish once per update BATCH, not per edge. A batch
+//     costs its ops and closure deltas, one merge per live label whose
+//     closure grew (the previous sorted image plus the batch's new pairs,
+//     sorted on their own), and the republish: graph copy plus
+//     counting-sort snapshot, timed in graph.rebuild_ns. Labels whose
+//     closure did not grow keep their image. The relational image is not
+//     built here: the first rq/datalog eval of an epoch builds it, once.
 //   * Every cached artifact derived from graph contents is keyed by the
 //     epoch (EvalCacheKey), so a mutation makes stale entries unreachable
 //     instead of requiring invalidation; automata-only entries
 //     (docs/CACHING.md) stay epoch-free because no graph byte enters
-//     their keys.
+//     their keys. Cached answers are stored sorted (SortedRows), so a hit
+//     renders a prefix without copying or sorting.
 #ifndef RQ_SERVER_GRAPH_STORE_H_
 #define RQ_SERVER_GRAPH_STORE_H_
 
@@ -47,22 +51,62 @@
 namespace rq {
 namespace server {
 
-// One immutable published graph version. Copy freely across threads; every
-// component is shared and never mutated after publication.
+// An answer set sorted once, rows in lexicographic order, stored flat:
+// row i is values[i * arity, (i + 1) * arity). Closure images and cached
+// eval answers both take this shape, so a response renders a prefix of it
+// without copying or sorting.
+struct SortedRows {
+  size_t arity = 0;
+  size_t rows = 0;  // apart from values.size() so arity-0 answers count
+  std::vector<Value> values;
+
+  size_t size() const { return rows; }
+  const Value* row(size_t i) const { return values.data() + i * arity; }
+};
+
+// `relation`'s rows, sorted.
+SortedRows SortRows(const Relation& relation);
+
+// The relational image of one view's graph (rq/eval.h GraphToDatabase),
+// built on first use: the first dereference builds it, concurrent first
+// uses wait for that one build (std::call_once), and every copy of the
+// handle — every GraphView of the epoch, including SeedClosure's
+// same-epoch republish — shares the result.
+class RelationalImage {
+ public:
+  RelationalImage() = default;  // no graph: must not be dereferenced
+  explicit RelationalImage(std::shared_ptr<const GraphDb> graph);
+
+  const Database& operator*() const;
+  const Database* operator->() const { return &**this; }
+
+ private:
+  struct State {
+    std::once_flag built;
+    std::shared_ptr<const GraphDb> graph;
+    Database database;
+  };
+  std::shared_ptr<State> state_;
+};
+
+// One published graph version. Copy freely across threads; every
+// component is shared and immutable once published, except the relational
+// image, which is filled in once on first use.
 struct GraphView {
   uint64_t epoch = 0;
   std::shared_ptr<const GraphDb> graph;        // null until a graph exists
   std::shared_ptr<const GraphSnapshot> snapshot;
-  std::shared_ptr<const Database> database;
-  // label id -> maintained transitive closure of that label's edge
-  // relation; absent labels are not (currently) maintained.
+  RelationalImage database;
+  // label id -> sorted image of that label's maintained transitive
+  // closure; absent labels are not (currently) maintained.
   std::shared_ptr<
-      const std::unordered_map<uint32_t, std::shared_ptr<const Relation>>>
+      const std::unordered_map<uint32_t, std::shared_ptr<const SortedRows>>>
       closures;
 
   bool has_graph() const { return graph != nullptr; }
-  // The maintained closure for `label`, or null (fall back to product-BFS).
-  const Relation* Closure(uint32_t label) const {
+  // The sorted image of `label`'s maintained closure, or null (fall back
+  // to product-BFS).
+  const SortedRows* Closure(uint32_t label) const {
     if (closures == nullptr) return nullptr;
     auto it = closures->find(label);
     return it == closures->end() ? nullptr : it->second.get();
@@ -105,23 +149,27 @@ class GraphStore {
   // epoch. Ops are validated up front (nothing applied on a malformed op);
   // a deadline/memory trip mid-batch publishes the prefix applied so far
   // and returns the error (the epoch in later responses tells the client
-  // what landed). Live label closures are maintained per inserted edge;
-  // a blown delta budget demotes the label (incr.fallbacks) instead of
-  // failing the batch.
+  // what landed). Live label closures are maintained per inserted edge and
+  // re-imaged once per batch; a blown delta budget demotes the label
+  // (incr.fallbacks) instead of failing the batch.
   Result<UpdateResult> Apply(const std::vector<UpdateOp>& ops);
 
   // Promotes `label` to incrementally maintained, using a closure computed
-  // from `view` (base = that label's edge relation in the view). Dropped
-  // silently when the store has moved past view.epoch — a stale seed must
-  // not overwrite a newer closure. Republishes the view's closure map in
-  // place (same epoch: the graph itself is unchanged).
+  // from `view` (base = that label's edge relation in the view), and sorts
+  // its first image. Dropped silently when the store has moved past
+  // view.epoch — a stale seed must not overwrite a newer closure.
+  // Republishes the view's closure map in place (same epoch: the graph
+  // itself is unchanged, and the relational image handle is shared).
   void SeedClosure(const GraphView& view, uint32_t label, Relation base,
                    Relation closure);
 
   // Epoch-keyed eval answer cache (kind "eval": cache.eval_hits / _misses /
-  // ... counters). Both return null / pass-through when disabled.
-  std::shared_ptr<const Relation> LookupEval(std::string_view key);
-  std::shared_ptr<const Relation> StoreEval(std::string key, Relation answer);
+  // ... counters). StoreEval sorts the answer once and returns the stored
+  // rows. Lookups miss and stores pass the sorted rows through uncached
+  // when the cache is disabled.
+  std::shared_ptr<const SortedRows> LookupEval(std::string_view key);
+  std::shared_ptr<const SortedRows> StoreEval(std::string key,
+                                              const Relation& answer);
 
   // epoch || class || '\0' || query — binds every cached answer to the
   // graph version that produced it.
@@ -130,7 +178,12 @@ class GraphStore {
 
  private:
   using ClosureMap =
-      std::unordered_map<uint32_t, std::shared_ptr<const Relation>>;
+      std::unordered_map<uint32_t, std::shared_ptr<const SortedRows>>;
+
+  // Brings closure_images_ up to the maintained closures after a batch:
+  // merges each grown label's new pairs into a fresh image and drops the
+  // images of demoted labels. Caller holds writer_mu_.
+  void RefreshImagesLocked();
 
   // Rebuilds and swaps in the published view at `epoch_` from the current
   // master state. Caller holds writer_mu_.
@@ -141,15 +194,17 @@ class GraphStore {
   std::mutex writer_mu_;  // serializes Load/Apply/SeedClosure
   GraphDb master_;
   PerLabelClosure closures_;
-  // Immutable copies of the maintained closures, refreshed per batch for
-  // the labels the batch touched; what PublishLocked hands to new views.
+  // One sorted image per live label, exactly the maintained closure's
+  // pairs; what PublishLocked hands to new views. An image covers the
+  // first size() tuples of the closure's insertion-ordered Relation, which
+  // only grows while the label stays live.
   ClosureMap closure_images_;
   uint64_t epoch_ = 0;
 
   mutable std::mutex view_mu_;  // guards only the view_ pointer swap
   std::shared_ptr<const GraphView> view_;
 
-  std::optional<cache::LruByteCache<Relation>> eval_cache_;
+  std::optional<cache::LruByteCache<SortedRows>> eval_cache_;
 };
 
 }  // namespace server

@@ -50,28 +50,27 @@ obs::JsonValue RenderPathVerdict(const PathContainmentResult& result,
   return out;
 }
 
-// Sorted tuples rendered as arrays of node names, capped at max_tuples.
-void RenderRelation(const GraphDb& graph, const Relation& relation,
-                    int64_t max_tuples, obs::JsonValue* response) {
+// Renders an eval answer: its first max_tuples rows (default
+// kDefaultMaxTuples) as arrays of node names, its size, and whether the
+// cap cut it. Every eval response goes through here.
+void RenderRows(const GraphDb& graph, const SortedRows& answer,
+                int64_t max_tuples, obs::JsonValue* response) {
   if (max_tuples <= 0) max_tuples = kDefaultMaxTuples;
+  size_t shown = std::min(answer.size(), static_cast<size_t>(max_tuples));
   obs::JsonValue tuples = obs::JsonValue::Array();
-  int64_t emitted = 0;
-  for (const Tuple& tuple : relation.SortedTuples()) {
-    if (emitted >= max_tuples) break;
+  for (size_t i = 0; i < shown; ++i) {
     obs::JsonValue row = obs::JsonValue::Array();
-    for (Value value : tuple) {
+    const Value* values = answer.row(i);
+    for (size_t c = 0; c < answer.arity; ++c) {
       row.Append(obs::JsonValue::String(
-          graph.NodeName(static_cast<NodeId>(value))));
+          graph.NodeName(static_cast<NodeId>(values[c]))));
     }
     tuples.Append(std::move(row));
-    ++emitted;
   }
   response->Set("tuples", std::move(tuples));
   response->Set("count",
-                obs::JsonValue::Number(static_cast<uint64_t>(relation.size())));
-  response->Set("truncated", obs::JsonValue::Bool(
-                                 static_cast<int64_t>(relation.size()) >
-                                 max_tuples));
+                obs::JsonValue::Number(static_cast<uint64_t>(answer.size())));
+  response->Set("truncated", obs::JsonValue::Bool(shown < answer.size()));
 }
 
 obs::JsonValue HandleContainment(const Request& request,
@@ -283,9 +282,9 @@ obs::JsonValue HandleEval(const Request& request, const HandlerContext& ctx) {
   // epoch (server/graph_store.h): a mutation publishes a new epoch, so a
   // stale entry can never be looked up again. Inline-graph answers are
   // never cached — their graph is not versioned.
-  auto render = [&](const Relation& out) {
+  auto render = [&](const SortedRows& answer) {
     obs::JsonValue response = OkResponse(request.id);
-    RenderRelation(*graph, out, request.max_tuples, &response);
+    RenderRows(*graph, answer, request.max_tuples, &response);
     if (store_backed) {
       response.Set("epoch", obs::JsonValue::Number(ctx.view.epoch));
     }
@@ -294,25 +293,25 @@ obs::JsonValue HandleEval(const Request& request, const HandlerContext& ctx) {
   std::string cache_key;
   if (store_backed && ctx.store != nullptr) {
     cache_key = GraphStore::EvalCacheKey(ctx.view.epoch, cls, request.query);
-    if (std::shared_ptr<const Relation> hit = ctx.store->LookupEval(cache_key);
+    if (std::shared_ptr<const SortedRows> hit =
+            ctx.store->LookupEval(cache_key);
         hit != nullptr) {
       obs::JsonValue response = render(*hit);
       response.Set("cached", obs::JsonValue::Bool(true));
       return response;
     }
   }
-  // Caches the computed answer (full answers only: a deadline or budget
-  // trip must surface as an error, never persist a partial answer set).
-  auto finish = [&](Relation out) {
+  // Sorts the computed answer once and caches it sorted (full answers
+  // only: a deadline or budget trip must surface as an error, never
+  // persist a partial answer set).
+  auto finish = [&](const Relation& out) {
     if (Status s = CheckExecContext(); !s.ok()) {
       return StatusError(request.id, s);
     }
     if (!cache_key.empty()) {
-      std::shared_ptr<const Relation> stored =
-          ctx.store->StoreEval(std::move(cache_key), std::move(out));
-      return render(*stored);
+      return render(*ctx.store->StoreEval(std::move(cache_key), out));
     }
-    return render(out);
+    return render(SortRows(out));
   };
 
   if (cls == "path") {
@@ -323,11 +322,11 @@ obs::JsonValue HandleEval(const Request& request, const HandlerContext& ctx) {
         store_backed ? ctx.view.snapshot : graph->Snapshot();
     std::optional<uint32_t> closure_label = ClosureShapeLabel(*q->regex);
     if (store_backed && closure_label.has_value()) {
-      // Closure-shaped (`a+`) queries are served from the incrementally
-      // maintained per-label closure when the label is live — the answer
-      // update batches kept warm from deltas instead of re-running the
-      // product BFS (relational/incremental.h).
-      if (const Relation* closure = ctx.view.Closure(*closure_label);
+      // Closure-shaped (`a+`) queries are served from the sorted image of
+      // the incrementally maintained per-label closure when the label is
+      // live — the answer update batches kept warm from deltas instead of
+      // re-running the product BFS (relational/incremental.h).
+      if (const SortedRows* closure = ctx.view.Closure(*closure_label);
           closure != nullptr) {
         obs::IncrCounters::Get().closure_evals.Increment();
         if (auto* profile = obs::QueryProfile::Active()) {
@@ -363,7 +362,7 @@ obs::JsonValue HandleEval(const Request& request, const HandlerContext& ctx) {
       ctx.store->SeedClosure(ctx.view, *closure_label, std::move(base),
                              std::move(closure));
     }
-    return finish(std::move(out));
+    return finish(out);
   }
   if (cls == "crpq") {
     Alphabet alphabet = graph->alphabet();
@@ -372,12 +371,12 @@ obs::JsonValue HandleEval(const Request& request, const HandlerContext& ctx) {
     auto out = store_backed ? EvalUc2Rpq(*ctx.view.snapshot, *q)
                             : EvalUc2Rpq(*graph, *q);
     if (!out.ok()) return StatusError(request.id, out.status());
-    return finish(*std::move(out));
+    return finish(*out);
   }
-  // rq / datalog evaluate over the relational image.
+  // rq / datalog evaluate over the relational image; a pinned view builds
+  // its image here on the epoch's first such eval.
   std::optional<Database> local_db;
-  const Database* database =
-      store_backed ? ctx.view.database.get() : nullptr;
+  const Database* database = store_backed ? &*ctx.view.database : nullptr;
   if (database == nullptr) {
     local_db = GraphToDatabase(*graph);
     database = &*local_db;
@@ -393,7 +392,7 @@ obs::JsonValue HandleEval(const Request& request, const HandlerContext& ctx) {
     return EvalDatalogGoal(*q, *database);
   }();
   if (!out.ok()) return StatusError(request.id, out.status());
-  return finish(*std::move(out));
+  return finish(*out);
 }
 
 obs::JsonValue HandleSleep(const Request& request, const HandlerContext& ctx) {

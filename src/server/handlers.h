@@ -21,11 +21,12 @@ namespace rq {
 namespace server {
 
 // Per-request execution state. `view` is the graph version the request was
-// pinned to at ADMISSION (server/graph_store.h): every component is
-// immutable and shared, so any number of workers evaluate concurrently
-// against their own pinned versions while update batches publish newer
-// ones. Per-request query parsing interns symbols into a COPY of the
-// view's alphabet, so symbol interning never mutates shared state.
+// pinned to at ADMISSION (server/graph_store.h): every component is shared
+// and immutable once published (the relational image is built once, on
+// first use), so any number of workers evaluate concurrently against their
+// own pinned versions while update batches publish newer ones. Per-request
+// query parsing interns symbols into a COPY of the view's alphabet, so
+// symbol interning never mutates shared state.
 struct HandlerContext {
   // Pinned graph version for evals without an inline graph;
   // view.has_graph() is false when the server has no graph yet.

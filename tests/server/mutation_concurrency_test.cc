@@ -1,18 +1,27 @@
 // ThreadSanitizer tests for live graph mutations (docs/SERVING.md
 // "Updates"): an eval admitted before a mutation completes must evaluate
 // against its pinned pre-mutation snapshot while the writer publishes new
-// epochs, and concurrent writers/readers across connections must be
-// race-free. Runs in the `tsan-mutation` label so the tsan preset executes
-// it under ThreadSanitizer.
+// epochs, concurrent writers/readers across connections must be
+// race-free, and readers racing to build an epoch's relational image must
+// all read the one image. Runs in the `tsan-mutation` label so the tsan
+// preset executes it under ThreadSanitizer.
 #include <atomic>
+#include <chrono>
+#include <map>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "datalog/eval.h"
 #include "graph/graph_db.h"
 #include "gtest/gtest.h"
 #include "obs/json.h"
+#include "relational/relation.h"
+#include "rq/eval.h"
+#include "rq/parser.h"
 #include "server/client.h"
 #include "server/server.h"
 
@@ -184,6 +193,202 @@ TEST(MutationConcurrencyTest, ConcurrentWritersAndReadersStayConsistent) {
   EXPECT_EQ(Num(*final_eval, "count"), 3 + kWriters * kRounds);
 
   server.DrainAndWait();
+}
+
+using Rows = std::vector<std::vector<std::string>>;
+
+// A from-scratch answer, sorted by node id and rendered as node names the
+// way eval responses render rows.
+Rows NamedRows(const GraphDb& graph, const Relation& answer) {
+  Rows rows;
+  for (const Tuple& tuple : answer.SortedTuples()) {
+    std::vector<std::string> row;
+    for (Value value : tuple) {
+      row.push_back(graph.NodeName(static_cast<NodeId>(value)));
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+Rows ResponseRows(const obs::JsonValue& response) {
+  Rows rows;
+  for (const obs::JsonValue& row : response.Find("tuples")->items()) {
+    std::vector<std::string> names;
+    for (const obs::JsonValue& name : row.items()) {
+      names.push_back(name.string_value());
+    }
+    rows.push_back(std::move(names));
+  }
+  return rows;
+}
+
+// Readers race to the first use of each epoch's relational image with rq
+// and datalog evals, while knows+ reads render closure images and one
+// writer applies batches. Every answer must equal a from-scratch
+// evaluation over the graph at the epoch its response reports.
+TEST(MutationConcurrencyTest, RelationalImageFirstUseRacesStayExact) {
+  const char* kGraph = "a knows b\nb knows c\nc knows a\n";
+  auto parsed = GraphDb::FromText(kGraph);
+  ASSERT_TRUE(parsed.ok());
+  GraphDb graph = std::move(parsed).value();
+  ServerOptions options;
+  options.graph = &graph;
+  options.workers = 4;
+  options.max_queue_depth = 4096;
+  QueryServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  uint16_t port = server.port();
+
+  struct Query {
+    const char* cls;
+    const char* text;
+  };
+  const Query kQueries[] = {
+      {"rq", "exists[y](knows(x, y) & knows(y, z))"},
+      {"datalog",
+       "q(x,y) :- knows(x,y).\nq(x,z) :- q(x,y), knows(y,z).\n?- q."},
+      {"rq", "knows(x, y) & knows(y, x)"},
+      {"path", "knows+"},
+  };
+  constexpr int kQueryCount = 4;
+  auto eval = [&](int64_t id, int q) {
+    obs::JsonValue request = Req("eval", id);
+    request.Set("class", obs::JsonValue::String(kQueries[q].cls));
+    request.Set("query", obs::JsonValue::String(kQueries[q].text));
+    return request;
+  };
+  {
+    auto seeder = BlockingClient::Connect(kHost, port);
+    ASSERT_TRUE(seeder.ok());
+    auto seeded = seeder->Call(eval(0, 3));  // makes knows live
+    ASSERT_TRUE(seeded.ok());
+    ASSERT_TRUE(seeded->Find("ok")->bool_value());
+  }
+
+  // Batch i adds p{i} -> p{i+1} and p{i+1} -> a: new nodes, new closure
+  // pairs, and new answers to every query.
+  constexpr int kBatches = 12;
+  auto batch_edges = [](int i) {
+    std::string from = i == 0 ? "c" : "p" + std::to_string(i);
+    std::string to = "p" + std::to_string(i + 1);
+    return std::vector<std::pair<std::string, std::string>>{{from, to},
+                                                            {to, "a"}};
+  };
+
+  struct Answer {
+    int query;
+    uint64_t epoch;
+    Rows rows;
+    uint64_t count;
+  };
+  std::mutex answers_mu;
+  std::vector<Answer> answers;
+  std::atomic<int> failures{0};
+  std::atomic<bool> writing{true};
+  std::vector<std::jthread> threads;
+  threads.emplace_back([&] {
+    auto client = BlockingClient::Connect(kHost, port);
+    if (!client.ok()) {
+      failures.fetch_add(1);
+      writing = false;
+      return;
+    }
+    for (int i = 0; i < kBatches; ++i) {
+      obs::JsonValue request = Req("update", 1000 + i);
+      obs::JsonValue ops = obs::JsonValue::Array();
+      for (const auto& [src, dst] : batch_edges(i)) {
+        obs::JsonValue op = obs::JsonValue::Object();
+        op.Set("op", obs::JsonValue::String("add_edge"));
+        op.Set("src", obs::JsonValue::String(src));
+        op.Set("label", obs::JsonValue::String("knows"));
+        op.Set("dst", obs::JsonValue::String(dst));
+        ops.Append(std::move(op));
+      }
+      request.Set("ops", std::move(ops));
+      auto response = client->Call(request);
+      if (!response.ok() || !response->Find("ok")->bool_value()) {
+        failures.fetch_add(1);
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    writing = false;
+  });
+  constexpr int kReaders = 4;
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      auto client = BlockingClient::Connect(kHost, port);
+      if (!client.ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      // Keep reading until the writer is done, then once more round.
+      for (int i = 0; writing.load() || i % kQueryCount != 0; ++i) {
+        int q = (r + i) % kQueryCount;
+        auto response = client->Call(eval(i, q));
+        if (!response.ok() || !response->Find("ok")->bool_value()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        Answer answer{q, response->Find("epoch")->uint_value(),
+                      ResponseRows(*response),
+                      response->Find("count")->uint_value()};
+        std::lock_guard<std::mutex> lock(answers_mu);
+        answers.push_back(std::move(answer));
+      }
+    });
+  }
+  threads.clear();  // join
+  ASSERT_EQ(failures.load(), 0);
+  ASSERT_EQ(server.graph_epoch(), 1u + kBatches);
+  server.DrainAndWait();
+
+  // Rebuild each epoch's graph the way Apply grows the master, so node ids
+  // match, and evaluate every query on it from scratch.
+  std::map<std::pair<uint64_t, int>, Rows> expected;
+  GraphDb at_epoch = std::move(GraphDb::FromText(kGraph)).value();
+  for (uint64_t epoch = 1; epoch <= 1u + kBatches; ++epoch) {
+    if (epoch > 1) {
+      for (const auto& [src, dst] : batch_edges(static_cast<int>(epoch) - 2)) {
+        NodeId s = at_epoch.AddNamedNode(src);
+        NodeId d = at_epoch.AddNamedNode(dst);
+        at_epoch.AddEdge(s, at_epoch.alphabet().InternLabel("knows"), d);
+      }
+    }
+    Database database = GraphToDatabase(at_epoch);
+    for (int q = 0; q < kQueryCount; ++q) {
+      Relation answer(2);
+      if (std::string(kQueries[q].cls) == "rq") {
+        auto query = ParseRq(kQueries[q].text);
+        ASSERT_TRUE(query.ok());
+        auto out = EvalRqQuery(database, *query);
+        ASSERT_TRUE(out.ok());
+        answer = *std::move(out);
+      } else if (std::string(kQueries[q].cls) == "datalog") {
+        auto program = ParseDatalog(kQueries[q].text);
+        ASSERT_TRUE(program.ok());
+        auto out = EvalDatalogGoal(*program, database);
+        ASSERT_TRUE(out.ok());
+        answer = *std::move(out);
+      } else {
+        answer = BinaryTransitiveClosure(*database.Find("knows"));
+      }
+      expected[{epoch, q}] = NamedRows(at_epoch, answer);
+    }
+  }
+  std::vector<int> per_query(kQueryCount, 0);
+  std::set<uint64_t> epochs;
+  for (const Answer& answer : answers) {
+    epochs.insert(answer.epoch);
+    auto it = expected.find({answer.epoch, answer.query});
+    ASSERT_NE(it, expected.end()) << "epoch " << answer.epoch;
+    EXPECT_EQ(answer.rows, it->second)
+        << kQueries[answer.query].text << " at epoch " << answer.epoch;
+    EXPECT_EQ(answer.count, it->second.size());
+    ++per_query[answer.query];
+  }
+  for (int q = 0; q < kQueryCount; ++q) EXPECT_GT(per_query[q], 0) << q;
+  EXPECT_GT(epochs.size(), 2u);  // the readers raced over several epochs
 }
 
 }  // namespace

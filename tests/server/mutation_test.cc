@@ -1,19 +1,24 @@
 // End-to-end tests of live graph mutations (docs/SERVING.md "Updates"):
 // the `update` request verb, epoch-versioned snapshots, read-your-writes
-// pipelining, epoch-keyed eval-cache invalidation, and the incremental
-// per-label closure path with its budget-capped fallback. All networking
-// is loopback TCP on ephemeral ports.
+// pipelining, epoch-keyed eval-cache invalidation, the incremental
+// per-label closure path with its budget-capped fallback, one closure
+// image per batch, and one renderer for every eval response. All
+// networking is loopback TCP on ephemeral ports.
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "automata/alphabet.h"
 #include "graph/graph_db.h"
 #include "gtest/gtest.h"
 #include "obs/counters.h"
 #include "obs/json.h"
 #include "relational/relation.h"
+#include "rq/eval.h"
 #include "server/client.h"
 #include "server/graph_store.h"
+#include "server/handlers.h"
 #include "server/server.h"
 
 namespace rq {
@@ -74,6 +79,44 @@ double Num(const obs::JsonValue& response, const char* key) {
 GraphDb TriangleGraph() {
   auto graph = GraphDb::FromText("a knows b\nb knows c\nc knows a\n");
   return std::move(graph).value();
+}
+
+UpdateOp EdgeOp(const std::string& src, const std::string& label,
+                const std::string& dst) {
+  UpdateOp op;
+  op.kind = UpdateOp::Kind::kAddEdge;
+  op.src = src;
+  op.label = label;
+  op.dst = dst;
+  return op;
+}
+
+// `count` edges extending the chain `prefix`0 -> `prefix`1 -> ... from
+// node `from` on; each one adds closure pairs.
+std::vector<UpdateOp> ChainOps(const std::string& prefix,
+                               const std::string& label, int from,
+                               int count) {
+  std::vector<UpdateOp> ops;
+  for (int i = from; i < from + count; ++i) {
+    ops.push_back(EdgeOp(prefix + std::to_string(i), label,
+                         prefix + std::to_string(i + 1)));
+  }
+  return ops;
+}
+
+// Promotes `label` with the from-scratch closure of its edges in the
+// store's current view, as the first `label+` eval does.
+uint32_t SeedLabel(GraphStore* store, const std::string& label_name) {
+  GraphView view = store->Acquire();
+  uint32_t label = view.graph->alphabet().FindLabel(label_name).value();
+  Relation base(2);
+  for (const auto& [x, y] :
+       view.snapshot->SymbolPairs(ForwardSymbolOf(label))) {
+    base.Insert({x, y});
+  }
+  Relation closure = BinaryTransitiveClosure(base);
+  store->SeedClosure(view, label, std::move(base), std::move(closure));
+  return label;
 }
 
 // --- GraphStore unit tests (no networking) -------------------------------
@@ -153,6 +196,222 @@ TEST(GraphStoreTest, FreshSeedPublishesClosureAtSameEpoch) {
   EXPECT_EQ(reseen.epoch, 1u);
   ASSERT_NE(reseen.Closure(0), nullptr);
   EXPECT_EQ(reseen.Closure(0)->size(), 9u);
+}
+
+// Regression: Apply used to deep-copy a live label's whole closure once
+// per inserted edge. An 8-edge batch now builds exactly one image.
+TEST(GraphStoreTest, EightEdgeBatchOnLiveLabelPublishesOneImage) {
+  auto graph = GraphDb::FromText("p0 knows p1\np1 knows p2\n");
+  ASSERT_TRUE(graph.ok());
+  GraphStore store;
+  store.Load(*graph);
+  uint32_t knows = SeedLabel(&store, "knows");
+  GraphView pinned = store.Acquire();
+  ASSERT_NE(pinned.Closure(knows), nullptr);
+  EXPECT_EQ(pinned.Closure(knows)->size(), 3u);
+
+  obs::CounterDelta delta;
+  auto applied = store.Apply(ChainOps("p", "knows", 2, 8));
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(delta.Delta("incr.images"), 1u);
+  GraphView after = store.Acquire();
+  const auto* image = after.Closure(knows);
+  ASSERT_NE(image, nullptr);
+  EXPECT_NE(image, pinned.Closure(knows));
+  // A chain of 11 nodes: 10 + 9 + ... + 1 pairs.
+  EXPECT_EQ(image->size(), 55u);
+}
+
+// A batch whose edges are already implied by the closure adds no pairs,
+// so the label keeps the image it had.
+TEST(GraphStoreTest, BatchAddingNoClosurePairsKeepsTheImage) {
+  GraphStore store;
+  store.Load(TriangleGraph());
+  uint32_t knows = SeedLabel(&store, "knows");
+  GraphView pinned = store.Acquire();
+  ASSERT_NE(pinned.Closure(knows), nullptr);
+
+  obs::CounterDelta delta;
+  auto applied = store.Apply({EdgeOp("a", "knows", "c"),
+                              EdgeOp("b", "knows", "a"),
+                              EdgeOp("a", "knows", "a")});
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied->closure_pairs, 0u);
+  GraphView after = store.Acquire();
+  EXPECT_EQ(after.epoch, 2u);
+  EXPECT_EQ(after.Closure(knows), pinned.Closure(knows));
+  EXPECT_EQ(delta.Delta("incr.images"), 0u);
+}
+
+// A batch on one live label leaves every other label's image alone and
+// builds one image for the label it grew.
+TEST(GraphStoreTest, BatchOnAnotherLabelKeepsTheImage) {
+  auto graph = GraphDb::FromText(
+      "a knows b\nb knows c\nc knows a\nq0 likes q1\n");
+  ASSERT_TRUE(graph.ok());
+  GraphStore store;
+  store.Load(*graph);
+  uint32_t knows = SeedLabel(&store, "knows");
+  uint32_t likes = SeedLabel(&store, "likes");
+  GraphView pinned = store.Acquire();
+  ASSERT_NE(pinned.Closure(knows), nullptr);
+  ASSERT_NE(pinned.Closure(likes), nullptr);
+
+  obs::CounterDelta delta;
+  auto applied = store.Apply(ChainOps("q", "likes", 1, 8));
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  GraphView after = store.Acquire();
+  EXPECT_EQ(after.Closure(knows), pinned.Closure(knows));
+  ASSERT_NE(after.Closure(likes), nullptr);
+  EXPECT_NE(after.Closure(likes), pinned.Closure(likes));
+  EXPECT_EQ(after.Closure(likes)->size(), 45u);
+  EXPECT_EQ(delta.Delta("incr.images"), 1u);
+}
+
+// A same-epoch seed republishes the view; the relational image handle
+// comes along, so the epoch still builds its image at most once.
+TEST(GraphStoreTest, SeedRepublishSharesTheRelationalImage) {
+  GraphStore store;
+  store.Load(TriangleGraph());
+  GraphView before = store.Acquire();
+  const Database& image = *before.database;
+  ASSERT_NE(image.Find("knows"), nullptr);
+  EXPECT_EQ(image.Find("knows")->size(), 3u);
+
+  SeedLabel(&store, "knows");
+  GraphView after = store.Acquire();
+  EXPECT_EQ(after.epoch, before.epoch);
+  EXPECT_EQ(&*after.database, &image);
+
+  ASSERT_TRUE(store.Apply({EdgeOp("c", "knows", "d")}).ok());
+  GraphView next_view = store.Acquire();
+  const Database& next = *next_view.database;
+  EXPECT_NE(&next, &image);
+  EXPECT_EQ(next.Find("knows")->size(), 4u);
+}
+
+// --- One renderer for every eval response --------------------------------
+
+Request EvalRequest(const std::string& cls, const std::string& query,
+                    int64_t max_tuples) {
+  Request request;
+  request.type = RequestType::kEval;
+  request.id = obs::JsonValue::Number(int64_t{1});
+  request.cls = cls;
+  request.query = query;
+  request.max_tuples = max_tuples;
+  return request;
+}
+
+// tuples, count and truncated of two eval responses agree.
+void ExpectSameAnswer(const obs::JsonValue& a, const obs::JsonValue& b,
+                      const std::string& context) {
+  ASSERT_TRUE(a.Find("ok")->bool_value()) << context << ": " << a.Dump();
+  ASSERT_TRUE(b.Find("ok")->bool_value()) << context << ": " << b.Dump();
+  for (const char* field : {"tuples", "count", "truncated"}) {
+    ASSERT_NE(a.Find(field), nullptr) << context;
+    ASSERT_NE(b.Find(field), nullptr) << context;
+    EXPECT_EQ(a.Find(field)->Dump(), b.Find(field)->Dump())
+        << context << " field " << field;
+  }
+}
+
+GraphDb RenderGraph() {
+  auto graph = GraphDb::FromText(
+      "a knows b\nb knows c\nc knows a\nc knows d\nd knows e\n"
+      "a member g1\nb member g1\nd member g2\ne member g2\n");
+  return std::move(graph).value();
+}
+
+// For max_tuples of 1, the answer size, above it, and the default (0 and
+// negative), a cached response renders exactly like the computed one.
+TEST(EvalRenderTest, CachedResponsesEqualComputedOnes) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"path", "knows knows"},
+      {"crpq", "q(x, y) :- (knows)(x, z), (member member-)(z, y)"},
+      {"rq", "exists[y](knows(x, y) & knows(y, z))"},
+      {"datalog",
+       "q(x,y) :- knows(x,y).\nq(x,z) :- q(x,y), knows(y,z).\n?- q."},
+  };
+  GraphDb graph = RenderGraph();
+  for (const auto& [cls, query] : cases) {
+    int64_t size = 0;
+    {
+      GraphStore store;
+      store.Load(graph);
+      HandlerContext ctx;
+      ctx.view = store.Acquire();
+      obs::JsonValue full = ExecuteRequest(EvalRequest(cls, query, 0), ctx);
+      ASSERT_TRUE(full.Find("ok")->bool_value()) << cls << ": " << full.Dump();
+      size = static_cast<int64_t>(full.Find("count")->number_value());
+      ASSERT_GT(size, 1) << cls;
+    }
+    for (int64_t max_tuples : {int64_t{1}, size, size + 3, int64_t{0},
+                               int64_t{-1}}) {
+      std::string context = std::string(cls) + " max_tuples " +
+                            std::to_string(max_tuples);
+      GraphStore store;
+      store.Load(graph);
+      HandlerContext ctx;
+      ctx.view = store.Acquire();
+      ctx.store = &store;
+      Request request = EvalRequest(cls, query, max_tuples);
+      obs::JsonValue computed = ExecuteRequest(request, ctx);
+      obs::JsonValue cached = ExecuteRequest(request, ctx);
+      EXPECT_EQ(computed.Find("cached"), nullptr) << context;
+      ASSERT_NE(cached.Find("cached"), nullptr) << context;
+      ExpectSameAnswer(computed, cached, context);
+      int64_t cap = max_tuples > 0 ? max_tuples : kDefaultMaxTuples;
+      size_t shown = computed.Find("tuples")->items().size();
+      EXPECT_EQ(static_cast<int64_t>(shown), std::min(size, cap)) << context;
+      EXPECT_EQ(computed.Find("truncated")->bool_value(), size > cap)
+          << context;
+    }
+  }
+}
+
+// knows+ served from a merged closure image renders exactly like knows+
+// computed by product-BFS on a store where the label is not live.
+TEST(EvalRenderTest, ClosureImageRendersLikeProductBfs) {
+  GraphStore live;
+  live.Load(RenderGraph());
+  {
+    HandlerContext ctx;
+    ctx.view = live.Acquire();
+    ctx.store = &live;
+    ASSERT_TRUE(ExecuteRequest(EvalRequest("path", "knows+", 0), ctx)
+                    .Find("ok")
+                    ->bool_value());  // seeds the label
+  }
+  ASSERT_TRUE(live.Apply({EdgeOp("e", "knows", "f"),
+                          EdgeOp("f", "knows", "b"),
+                          EdgeOp("x", "knows", "a")})
+                  .ok());
+  GraphView live_view = live.Acquire();
+  GraphStore cold;
+  cold.Load(*live_view.graph);  // same graph, same node ids, nothing live
+  // No store in the context: the cold side never seeds and never caches.
+  HandlerContext cold_ctx;
+  cold_ctx.view = cold.Acquire();
+  HandlerContext live_ctx;
+  live_ctx.view = live_view;
+  live_ctx.store = &live;
+
+  int64_t size = static_cast<int64_t>(
+      ExecuteRequest(EvalRequest("path", "knows+", 0), cold_ctx)
+          .Find("count")
+          ->number_value());
+  ASSERT_GT(size, 1);
+  for (int64_t max_tuples : {int64_t{1}, size, size + 3, int64_t{0},
+                             int64_t{-1}}) {
+    Request request = EvalRequest("path", "knows+", max_tuples);
+    obs::JsonValue from_image = ExecuteRequest(request, live_ctx);
+    obs::JsonValue from_bfs = ExecuteRequest(request, cold_ctx);
+    ASSERT_NE(from_image.Find("incremental"), nullptr);
+    EXPECT_EQ(from_bfs.Find("incremental"), nullptr);
+    ExpectSameAnswer(from_image, from_bfs,
+                     "max_tuples " + std::to_string(max_tuples));
+  }
 }
 
 // --- End-to-end server tests ---------------------------------------------
@@ -253,6 +512,7 @@ TEST(MutationTest, MutationFlipsPreviouslyCachedEvalAnswer) {
   EXPECT_EQ(Num(*cached, "count"), 3);
   ASSERT_NE(cached->Find("cached"), nullptr);
   EXPECT_TRUE(cached->Find("cached")->bool_value());
+  EXPECT_EQ(cached->Find("tuples")->Dump(), first->Find("tuples")->Dump());
 
   auto mutated = client->Call(Update(2, {AddEdgeOp("a", "knows", "d"),
                                          AddEdgeOp("d", "knows", "b")}));
@@ -272,6 +532,8 @@ TEST(MutationTest, MutationFlipsPreviouslyCachedEvalAnswer) {
   ASSERT_TRUE(recached.ok());
   EXPECT_EQ(Num(*recached, "count"), 6);
   ASSERT_NE(recached->Find("cached"), nullptr);
+  EXPECT_EQ(recached->Find("tuples")->Dump(),
+            flipped->Find("tuples")->Dump());
 
   server.DrainAndWait();
 }
