@@ -36,7 +36,7 @@
 //                   run; library loops bail out with ResourceExhausted
 //                   through the same polling sites as --timeout-ms, and
 //                   mem.budget_exceeded lands in the obs snapshot. The
-//                   run always executes under a MemContext, so the mem.*
+//                   run always executes under an ExecContext, so the mem.*
 //                   gauges in the report carry per-subsystem peaks.
 //   --prometheus <path>
 //                   write the end-of-run registry state (every counter,
@@ -55,7 +55,6 @@
 
 #include "cache/automata_cache.h"
 #include "common/deadline.h"
-#include "common/mem.h"
 #include "common/parallel.h"
 #include "obs/chrome_trace.h"
 #include "obs/counters.h"
@@ -204,17 +203,16 @@ int main(int argc, char** argv) {
 
   CaptureReporter reporter;
   {
-    rq::ExecContext ctx(timeout_ms > 0
-                            ? rq::Deadline::AfterMillis(timeout_ms)
-                            : rq::Deadline::Infinite());
-    rq::ScopedExecContext scoped(timeout_ms > 0 ? &ctx : nullptr);
-    // Always run under a MemContext so the report's mem.* gauges carry
+    // Always run under a context so the report's mem.* gauges carry
     // per-subsystem peaks for the whole run (budget 0 = unlimited).
-    rq::MemContext mem_ctx(
+    rq::ExecContext ctx(
+        timeout_ms > 0 ? rq::Deadline::AfterMillis(timeout_ms)
+                       : rq::Deadline::Infinite(),
+        /*cancel=*/nullptr,
         memory_budget_mb > 0
             ? static_cast<uint64_t>(memory_budget_mb) * 1024 * 1024
             : 0);
-    rq::ScopedMemContext scoped_mem(&mem_ctx);
+    rq::ScopedExecContext scoped(&ctx);
     benchmark::RunSpecifiedBenchmarks(&reporter);
   }
   benchmark::Shutdown();

@@ -42,7 +42,7 @@
 //                         (exit 4, not a crash) through the same polling
 //                         sites as --timeout-ms, and bumps the
 //                         mem.budget_exceeded counter. The check always
-//                         runs under a MemContext, so --profile reports a
+//                         runs under an ExecContext, so --profile reports a
 //                         per-subsystem peak-byte breakdown either way
 //                         (docs/OBSERVABILITY.md "Memory accounting")
 //
@@ -65,7 +65,7 @@
 
 #include "cache/automata_cache.h"
 #include "common/deadline.h"
-#include "common/mem.h"
+#include "common/parallel.h"
 #include "containment/batch.h"
 #include "containment/containment.h"
 #include "rq/equivalence.h"
@@ -256,10 +256,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--cache") {
       cache::AutomataCache::Global().SetEnabled(true);
     } else if (arg == "--jobs" && i + 1 < argc) {
-      SetDefaultContainmentJobs(
+      SetDefaultParallelJobs(
           static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10)));
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      SetDefaultContainmentJobs(
+      SetDefaultParallelJobs(
           static_cast<unsigned>(std::strtoul(arg.c_str() + 7, nullptr, 10)));
     } else if (arg == "--timeout-ms" && i + 1 < argc) {
       timeout_ms = std::strtoll(argv[++i], nullptr, 10);
@@ -304,33 +304,32 @@ int main(int argc, char** argv) {
   const bool profiling = profile_text || !profile_json.empty();
   if (profiling) profile.Begin("rqcheck", cls, q1 + "  <=  " + q2);
 
-  // The check always runs under a MemContext (budget 0 = unlimited), so
-  // the per-subsystem peak-byte breakdown lands in --profile output and
-  // the flight recorder's mem_peak field even without a budget. The
-  // context stays installed through profile.End(), which samples it.
-  MemContext mem_ctx(memory_budget_mb > 0
-                         ? static_cast<uint64_t>(memory_budget_mb) * 1024 *
-                               1024
-                         : 0);
-  ScopedMemContext scoped_mem(&mem_ctx);
-
+  // The check always runs under a context (budget 0 = unlimited), so the
+  // per-subsystem peak-byte breakdown lands in --profile output and the
+  // flight recorder's mem_peak field even without a budget.
+  ExecContext ctx(
+      timeout_ms > 0 ? Deadline::AfterMillis(timeout_ms)
+                     : Deadline::Infinite(),
+      /*cancel=*/nullptr,
+      memory_budget_mb > 0
+          ? static_cast<uint64_t>(memory_budget_mb) * 1024 * 1024
+          : 0);
   int code;
   {
-    // Scope the deadline to the check itself so the stats/trace dumps
-    // below never run under an expired context.
-    ExecContext ctx(timeout_ms > 0 ? Deadline::AfterMillis(timeout_ms)
-                                   : Deadline::Infinite());
-    std::optional<ScopedExecContext> scoped;
-    if (timeout_ms > 0) scoped.emplace(&ctx);
+    // Scope the context to the check itself so the stats/trace dumps
+    // below never run under an expired deadline.
+    ScopedExecContext scoped(&ctx);
     code = RunCheck(cls, q1, q2);
   }
   // A check that failed because the byte budget latched gets the distinct
   // resource-exhausted exit code; errors for other reasons keep 3.
-  // exceeded() reads the shared pot, so trips latched on batch-worker
-  // mirrors count too.
-  if (code == 3 && mem_ctx.exceeded()) code = 4;
+  // exceeded() reads the shared pot, so trips latched on batch jobs and
+  // worker mirrors count too.
+  if (code == 3 && ctx.exceeded()) code = 4;
 
   if (profiling) {
+    // End() samples the memory section from the installed context.
+    ScopedExecContext sampled(&ctx);
     profile.End();
     if (profile_text) std::fputs(profile.ToText().c_str(), stdout);
     if (!profile_json.empty()) {

@@ -40,7 +40,7 @@
 //                         (exit 4, not a crash) through the same polling
 //                         sites as --timeout-ms, and bumps the
 //                         mem.budget_exceeded counter. The evaluation
-//                         always runs under a MemContext, so --profile
+//                         always runs under an ExecContext, so --profile
 //                         reports a per-subsystem peak-byte breakdown
 //                         either way
 //
@@ -52,7 +52,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 
@@ -60,7 +59,6 @@
 
 #include "cache/automata_cache.h"
 #include "common/deadline.h"
-#include "common/mem.h"
 #include "common/parallel.h"
 #include "crpq/crpq.h"
 #include "datalog/eval.h"
@@ -233,30 +231,29 @@ int main(int argc, char** argv) {
   const bool profiling = profile_text || !profile_json.empty();
   if (profiling) profile.Begin("rqeval", positional[1], query);
 
-  // The evaluation always runs under a MemContext (budget 0 = unlimited)
-  // so --profile reports the per-subsystem peak-byte breakdown; the
-  // context stays installed through profile.End(), which samples it.
-  MemContext mem_ctx(memory_budget_mb > 0
-                         ? static_cast<uint64_t>(memory_budget_mb) * 1024 *
-                               1024
-                         : 0);
-  ScopedMemContext scoped_mem(&mem_ctx);
-
+  // The evaluation always runs under a context (budget 0 = unlimited) so
+  // --profile reports the per-subsystem peak-byte breakdown.
+  ExecContext ctx(
+      timeout_ms > 0 ? Deadline::AfterMillis(timeout_ms)
+                     : Deadline::Infinite(),
+      /*cancel=*/nullptr,
+      memory_budget_mb > 0
+          ? static_cast<uint64_t>(memory_budget_mb) * 1024 * 1024
+          : 0);
   int code;
   {
-    // Scope the deadline to the evaluation so the stats/trace dumps below
-    // never run under an expired context.
-    ExecContext ctx(timeout_ms > 0 ? Deadline::AfterMillis(timeout_ms)
-                                   : Deadline::Infinite());
-    std::optional<ScopedExecContext> scoped;
-    if (timeout_ms > 0) scoped.emplace(&ctx);
+    // Scope the context to the evaluation so the stats/trace dumps below
+    // never run under an expired deadline.
+    ScopedExecContext scoped(&ctx);
     code = RunEval(positional[0], positional[1], query);
   }
   // Distinct exit code for a memory-budget failure (exceeded() reads the
   // shared pot, so trips latched on worker mirrors count too).
-  if (code == 2 && mem_ctx.exceeded()) code = 4;
+  if (code == 2 && ctx.exceeded()) code = 4;
 
   if (profiling) {
+    // End() samples the memory section from the installed context.
+    ScopedExecContext sampled(&ctx);
     profile.End();
     if (profile_text) std::fputs(profile.ToText().c_str(), stdout);
     if (!profile_json.empty()) {

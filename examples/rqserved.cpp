@@ -61,7 +61,7 @@
 #include <string>
 
 #include "cache/automata_cache.h"
-#include "containment/batch.h"
+#include "common/parallel.h"
 #include "graph/graph_db.h"
 #include "obs/flight_recorder.h"
 #include "server/server.h"
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
     options.eval_cache_bytes =
         static_cast<size_t>(eval_cache_mb) * 1024 * 1024;
   }
-  if (jobs > 0) SetDefaultContainmentJobs(static_cast<unsigned>(jobs));
+  if (jobs > 0) SetDefaultParallelJobs(static_cast<unsigned>(jobs));
   cache::AutomataCache::Global().SetEnabled(use_cache);
 
   GraphDb graph;

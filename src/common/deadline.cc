@@ -1,8 +1,9 @@
 #include "common/deadline.h"
 
 #include <chrono>
+#include <cstddef>
 
-#include "common/mem.h"
+#include "obs/mem_stats.h"
 #include "obs/subsystems.h"
 
 namespace rq {
@@ -15,6 +16,19 @@ int64_t SteadyNowNanos() {
 }
 
 thread_local ExecContext* g_current_exec_context = nullptr;
+
+void RaisePeak(std::atomic<int64_t>& peak, int64_t candidate) {
+  int64_t seen = peak.load(std::memory_order_relaxed);
+  while (candidate > seen &&
+         !peak.compare_exchange_weak(seen, candidate,
+                                     std::memory_order_relaxed)) {
+  }
+}
+
+uint64_t NonNegative(const std::atomic<int64_t>& value) {
+  int64_t v = value.load(std::memory_order_relaxed);
+  return v < 0 ? 0 : static_cast<uint64_t>(v);
+}
 
 }  // namespace
 
@@ -31,9 +45,67 @@ int64_t Deadline::RemainingNanos() const {
   return ns_ - SteadyNowNanos();
 }
 
+ExecContext::ExecContext(Deadline deadline, CancelToken* cancel,
+                         uint64_t budget_bytes, const ExecContext* parent)
+    : deadline_(deadline), cancel_(cancel), pot_(std::make_shared<Pot>()) {
+  pot_->budget_bytes = budget_bytes;
+  if (parent != nullptr) pot_->parent = parent->pot_;
+}
+
+ExecContext ExecContext::ChildOf(const ExecContext* parent) {
+  if (parent == nullptr) return ExecContext();
+  return ExecContext(*parent, Mirror{});
+}
+
 ExecContext* ExecContext::Current() { return g_current_exec_context; }
 
+void ExecContext::Charge(MemSubsystem subsystem, int64_t bytes) {
+  if (bytes == 0) return;
+  size_t idx = static_cast<size_t>(subsystem);
+  for (Pot* p = pot_.get(); p != nullptr; p = p->parent.get()) {
+    int64_t now =
+        p->bytes[idx].fetch_add(bytes, std::memory_order_relaxed) + bytes;
+    RaisePeak(p->peak_bytes[idx], now);
+    int64_t total =
+        p->total.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+    RaisePeak(p->peak_total, total);
+    if (p->budget_bytes != 0 &&
+        total > static_cast<int64_t>(p->budget_bytes)) {
+      p->exceeded.store(true, std::memory_order_relaxed);
+    }
+  }
+}
+
+uint64_t ExecContext::subsystem_bytes(MemSubsystem subsystem) const {
+  return NonNegative(pot_->bytes[static_cast<size_t>(subsystem)]);
+}
+
+uint64_t ExecContext::peak_subsystem_bytes(MemSubsystem subsystem) const {
+  return NonNegative(pot_->peak_bytes[static_cast<size_t>(subsystem)]);
+}
+
+uint64_t ExecContext::total_bytes() const { return NonNegative(pot_->total); }
+
+uint64_t ExecContext::peak_total_bytes() const {
+  return NonNegative(pot_->peak_total);
+}
+
+bool ExecContext::exceeded() const {
+  for (const Pot* p = pot_.get(); p != nullptr; p = p->parent.get()) {
+    if (p->exceeded.load(std::memory_order_relaxed)) return true;
+  }
+  return false;
+}
+
 Status ExecContext::Check() {
+  // Memory first, and even over a latched deadline or cancellation: a
+  // crossed budget is the actionable cause (docs/ROBUSTNESS.md "Which
+  // error wins").
+  bool memory_latched =
+      stopped_ && status_.code() == StatusCode::kResourceExhausted;
+  if (!memory_latched && exceeded()) {
+    return Trip(ResourceExhaustedError("memory budget exceeded"));
+  }
   if (stopped_) return status_;
   if (cancel_ != nullptr && cancel_->Cancelled()) {
     return Trip(CancelledError("execution cancelled"));
@@ -53,10 +125,16 @@ Status ExecContext::Check() {
 Status ExecContext::Trip(Status status) {
   stopped_ = true;
   status_ = std::move(status);
-  if (status_.code() == StatusCode::kDeadlineExceeded) {
-    obs::DeadlineCounters::Get().expired.Add(1);
-  } else {
-    obs::DeadlineCounters::Get().cancelled.Add(1);
+  switch (status_.code()) {
+    case StatusCode::kResourceExhausted:
+      obs::MemStats::Get().budget_exceeded.Add(1);
+      break;
+    case StatusCode::kDeadlineExceeded:
+      obs::DeadlineCounters::Get().expired.Add(1);
+      break;
+    default:
+      obs::DeadlineCounters::Get().cancelled.Add(1);
+      break;
   }
   return status_;
 }
@@ -81,10 +159,6 @@ ScopedExecContext::~ScopedExecContext() {
 }
 
 Status CheckExecContext() {
-  // Memory budgets (common/mem.h) piggyback on the deadline polling sites:
-  // one extra thread-local load when no MemContext is installed.
-  Status mem = CheckMemBudget();
-  if (!mem.ok()) return mem;
   ExecContext* ctx = g_current_exec_context;
   if (ctx == nullptr) return Status::Ok();
   return ctx->Check();

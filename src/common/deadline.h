@@ -1,34 +1,44 @@
-// Wall-clock deadlines and cooperative cancellation (docs/ROBUSTNESS.md).
+// The per-query execution context: wall-clock deadline, cooperative
+// cancellation and byte budget in one (docs/ROBUSTNESS.md; memory
+// accounting in docs/OBSERVABILITY.md "Memory accounting").
 //
 // The containment ladder tops out at EXPSPACE/2EXPSPACE procedures, so a
 // production deployment cannot run them unbounded: every long-running loop
-// in the library polls a lightweight ExecContext — a steady-clock Deadline
-// plus an optional shared CancelToken — and unwinds with kDeadlineExceeded
-// or kCancelled instead of hanging. The context is installed thread-locally
-// (ScopedExecContext), mirroring the obs::QueryProfile::Active() idiom, so
-// deep loops consult it through CheckExecContext() without threading a
-// parameter through every signature.
+// in the library polls a lightweight ExecContext — a steady-clock Deadline,
+// an optional shared CancelToken and an accounting pot with an optional
+// byte budget — and unwinds with kDeadlineExceeded, kCancelled or
+// kResourceExhausted instead of hanging. The context is installed
+// thread-locally (ScopedExecContext), mirroring the
+// obs::QueryProfile::Active() idiom, so deep loops consult it through
+// CheckExecContext() without threading a parameter through every
+// signature, and the attribution API of common/mem.h (MemScope/MemCharge)
+// charges the same installation.
 //
 // Cost model: CheckExecContext() with no context installed is one
-// thread-local load and a branch. With a context it adds one relaxed
-// atomic load (the cancel token) and reads the clock only once per
-// ExecContext::kStride polls, so even per-node polling in the product
-// search loops is noise. A non-OK verdict latches: once a context trips,
-// every subsequent Check returns the same error, which lets construction
-// kernels without a Status channel (FoldTwoNfa, ProductBfs) simply stop
-// early and rely on a Status-returning caller to poll the same context.
+// thread-local load and a branch. With a context it adds relaxed atomic
+// loads (the budget flags up the pot chain, the cancel token) and reads
+// the clock only once per ExecContext::kStride polls, so even per-node
+// polling in the product search loops is noise; an Ok poll allocates
+// nothing. A non-OK verdict latches: once a context trips, every
+// subsequent Check returns the same error (except that a memory trip
+// overrides a latched deadline or cancellation, see Check), which lets
+// construction kernels without a Status channel (FoldTwoNfa, ProductBfs)
+// simply stop early and rely on a Status-returning caller to poll the same
+// context.
 //
-// Pool workers do not inherit the calling thread's installation; fan-out
-// sites (containment/batch.cc, EvalPathQueryFromSources) capture the
-// parent context before spawning and install a per-worker mirror built
-// with ExecContext::ChildOf.
+// Pool threads see the caller's context without any code at the fan-out
+// site: ParallelFor (common/parallel.h) captures the calling thread's
+// installation and installs an ExecContext::ChildOf mirror on each worker.
 #ifndef RQ_COMMON_DEADLINE_H_
 #define RQ_COMMON_DEADLINE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <memory>
 
+#include "common/mem.h"
 #include "common/status.h"
 
 namespace rq {
@@ -77,27 +87,41 @@ class CancelToken {
   std::atomic<bool> cancelled_{false};
 };
 
-// A deadline plus an optional cancel token, polled by long-running loops.
-// One context belongs to one thread (Check() keeps unsynchronized stride
-// state); to observe the same bounds from a pool worker, build a mirror
-// with ChildOf and install it on that worker.
+// A deadline, an optional cancel token and a byte-accounting pot with an
+// optional budget, polled by long-running loops. One context belongs to
+// one thread (Check() keeps unsynchronized stride and latch state); other
+// threads observe the same bounds and charge the same pot through mirrors
+// built with ChildOf, which ParallelFor installs on its workers.
+//
+// A context built with a parent chains its pot to the parent's: charges
+// propagate up the chain (a batch job's bytes also count against the
+// caller's pot) and a budget crossed anywhere on the chain stops this
+// context too. The deadline and cancel token are this context's own.
 class ExecContext {
  public:
   // Clock reads are amortized: Check() consults the cancel token every
   // call but the deadline only once per kStride calls.
   static constexpr uint32_t kStride = 64;
 
-  ExecContext() = default;
-  explicit ExecContext(Deadline deadline, CancelToken* cancel = nullptr)
-      : deadline_(deadline), cancel_(cancel) {}
+  // Unbounded: infinite deadline, no token, no budget (pure accounting).
+  ExecContext() : ExecContext(Deadline::Infinite()) {}
+  // budget_bytes == 0 means unlimited. `parent` (may be null) receives
+  // every charge made against this context, and its budget is also
+  // enforced here.
+  explicit ExecContext(Deadline deadline, CancelToken* cancel = nullptr,
+                       uint64_t budget_bytes = 0,
+                       const ExecContext* parent = nullptr);
 
-  // A fresh context observing the same deadline and token as `parent`
-  // (default/no-op context when parent is null). For pool workers.
-  static ExecContext ChildOf(const ExecContext* parent) {
-    return parent == nullptr
-               ? ExecContext()
-               : ExecContext(parent->deadline(), parent->cancel_token());
-  }
+  // An installed context's address is held thread-locally, so contexts
+  // neither copy nor move; ChildOf is how another thread shares one.
+  ExecContext(const ExecContext&) = delete;
+  ExecContext& operator=(const ExecContext&) = delete;
+
+  // A mirror of `parent` for another thread: same deadline, token, pot and
+  // budget, with a fresh latch; a fresh unbounded context when parent is
+  // null. Mirrors record no deadline.slack_ns sample (the parent's own
+  // scope does).
+  static ExecContext ChildOf(const ExecContext* parent);
 
   // The context installed on the calling thread, or null.
   static ExecContext* Current();
@@ -105,9 +129,30 @@ class ExecContext {
   const Deadline& deadline() const { return deadline_; }
   CancelToken* cancel_token() const { return cancel_; }
 
-  // Cooperative poll. Returns Ok, DeadlineExceededError, or
-  // CancelledError; a non-OK verdict latches for the context's lifetime.
-  // Bumps deadline.expired / deadline.cancelled once on the first trip.
+  // Adds `bytes` (negative to release) under `subsystem` to this context's
+  // pot and every ancestor's; sets the exceeded flag on any pot whose
+  // budget the new total crosses. Thread-safe (mirrors charge
+  // concurrently). MemCharge (common/mem.h) calls this on the installed
+  // context.
+  void Charge(MemSubsystem subsystem, int64_t bytes);
+
+  uint64_t subsystem_bytes(MemSubsystem subsystem) const;
+  uint64_t peak_subsystem_bytes(MemSubsystem subsystem) const;
+  uint64_t total_bytes() const;
+  uint64_t peak_total_bytes() const;
+  uint64_t budget_bytes() const { return pot_->budget_bytes; }
+  // This context's own budget (not the chain's).
+  bool has_budget() const { return pot_->budget_bytes != 0; }
+
+  // True once any budget on the pot chain has been crossed (sticky).
+  bool exceeded() const;
+
+  // Cooperative poll. Returns Ok, ResourceExhaustedError, CancelledError
+  // or DeadlineExceededError, in that order of precedence. A non-OK
+  // verdict latches for the context's lifetime, except that a crossed
+  // budget overrides a latched deadline or cancellation (memory is the
+  // actionable cause). Bumps mem.budget_exceeded / deadline.cancelled /
+  // deadline.expired once per context for the verdict it latches.
   Status Check();
 
   // True once Check() has returned non-OK (no fresh poll).
@@ -116,10 +161,31 @@ class ExecContext {
  private:
   friend class ScopedExecContext;
 
+  // One accounting pot, shared by a root context and its mirrors and kept
+  // alive by them.
+  struct Pot {
+    std::array<std::atomic<int64_t>, kMemSubsystemCount> bytes{};
+    std::array<std::atomic<int64_t>, kMemSubsystemCount> peak_bytes{};
+    std::atomic<int64_t> total{0};
+    std::atomic<int64_t> peak_total{0};
+    std::atomic<bool> exceeded{false};
+    uint64_t budget_bytes = 0;   // 0 = unlimited; set before sharing
+    std::shared_ptr<Pot> parent;  // set before sharing
+  };
+
+  // Selects the mirror constructor behind ChildOf.
+  struct Mirror {};
+  ExecContext(const ExecContext& parent, Mirror)
+      : deadline_(parent.deadline_),
+        cancel_(parent.cancel_),
+        pot_(parent.pot_),
+        slack_recorded_(true) {}
+
   Status Trip(Status status);
 
   Deadline deadline_;
   CancelToken* cancel_ = nullptr;
+  std::shared_ptr<Pot> pot_;
   uint32_t polls_until_clock_ = 0;  // 0 so the first Check reads the clock
   bool stopped_ = false;
   bool slack_recorded_ = false;
@@ -145,8 +211,6 @@ class ScopedExecContext {
 };
 
 // Polls the calling thread's installed context; Ok when none is installed.
-// Also polls the thread's MemContext (common/mem.h), so every deadline
-// polling site enforces memory budgets with no further changes.
 Status CheckExecContext();
 
 // Convenience for kernels without a Status channel: true once the current

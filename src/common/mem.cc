@@ -2,29 +2,21 @@
 
 #include <cstddef>
 
+#include "common/deadline.h"
 #include "obs/mem_stats.h"
 
 namespace rq {
 namespace {
 
-thread_local MemContext* g_current_mem_context = nullptr;
 thread_local MemScope* g_current_mem_scope = nullptr;
 
-void RaisePeak(std::atomic<int64_t>& peak, int64_t candidate) {
-  int64_t seen = peak.load(std::memory_order_relaxed);
-  while (candidate > seen &&
-         !peak.compare_exchange_weak(seen, candidate,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
 // The shared tail of MemCharge / MemScope release / MemChargeDurable:
-// moves the installed context chain (unless the charge is durable) and the
-// global gauges. Scope net tracking stays in the callers — a scope's own
-// release must not flow into the enclosing scope's net.
+// moves the installed context's pot chain (unless the charge is durable)
+// and the global gauges. Scope net tracking stays in the callers — a
+// scope's own release must not flow into the enclosing scope's net.
 void ApplyCharge(MemSubsystem subsystem, int64_t bytes, bool durable) {
   if (!durable) {
-    if (MemContext* ctx = g_current_mem_context; ctx != nullptr) {
+    if (ExecContext* ctx = ExecContext::Current(); ctx != nullptr) {
       ctx->Charge(subsystem, bytes);
     }
   }
@@ -61,77 +53,6 @@ const char* MemSubsystemName(MemSubsystem subsystem) {
   return "other";
 }
 
-MemContext* MemContext::Current() { return g_current_mem_context; }
-
-void MemContext::Charge(MemSubsystem subsystem, int64_t bytes) {
-  if (bytes == 0) return;
-  size_t idx = static_cast<size_t>(subsystem);
-  for (Shared* s = shared_.get(); s != nullptr; s = s->parent.get()) {
-    int64_t now =
-        s->bytes[idx].fetch_add(bytes, std::memory_order_relaxed) + bytes;
-    RaisePeak(s->peak_bytes[idx], now);
-    int64_t total =
-        s->total.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-    RaisePeak(s->peak_total, total);
-    if (s->budget_bytes != 0 &&
-        total > static_cast<int64_t>(s->budget_bytes)) {
-      s->exceeded.store(true, std::memory_order_relaxed);
-    }
-  }
-}
-
-uint64_t MemContext::subsystem_bytes(MemSubsystem subsystem) const {
-  int64_t v = shared_->bytes[static_cast<size_t>(subsystem)].load(
-      std::memory_order_relaxed);
-  return v < 0 ? 0 : static_cast<uint64_t>(v);
-}
-
-uint64_t MemContext::peak_subsystem_bytes(MemSubsystem subsystem) const {
-  int64_t v = shared_->peak_bytes[static_cast<size_t>(subsystem)].load(
-      std::memory_order_relaxed);
-  return v < 0 ? 0 : static_cast<uint64_t>(v);
-}
-
-uint64_t MemContext::total_bytes() const {
-  int64_t v = shared_->total.load(std::memory_order_relaxed);
-  return v < 0 ? 0 : static_cast<uint64_t>(v);
-}
-
-uint64_t MemContext::peak_total_bytes() const {
-  int64_t v = shared_->peak_total.load(std::memory_order_relaxed);
-  return v < 0 ? 0 : static_cast<uint64_t>(v);
-}
-
-bool MemContext::exceeded() const {
-  for (const Shared* s = shared_.get(); s != nullptr;
-       s = s->parent.get()) {
-    if (s->exceeded.load(std::memory_order_relaxed)) return true;
-  }
-  return false;
-}
-
-Status MemContext::Check() {
-  if (stopped_) return status_;
-  if (exceeded()) return Trip();
-  return Status::Ok();
-}
-
-Status MemContext::Trip() {
-  stopped_ = true;
-  status_ = ResourceExhaustedError("memory budget exceeded");
-  obs::MemStats::Get().budget_exceeded.Add(1);
-  return status_;
-}
-
-ScopedMemContext::ScopedMemContext(MemContext* ctx)
-    : installed_(ctx), previous_(g_current_mem_context) {
-  if (installed_ != nullptr) g_current_mem_context = installed_;
-}
-
-ScopedMemContext::~ScopedMemContext() {
-  if (installed_ != nullptr) g_current_mem_context = previous_;
-}
-
 MemScope::MemScope(MemSubsystem subsystem)
     : subsystem_(subsystem), previous_(g_current_mem_scope) {
   g_current_mem_scope = this;
@@ -156,12 +77,6 @@ void MemCharge(int64_t bytes) {
 void MemChargeDurable(MemSubsystem subsystem, int64_t bytes) {
   if (bytes == 0) return;
   ApplyCharge(subsystem, bytes, /*durable=*/true);
-}
-
-Status CheckMemBudget() {
-  MemContext* ctx = g_current_mem_context;
-  if (ctx == nullptr) return Status::Ok();
-  return ctx->Check();
 }
 
 }  // namespace rq

@@ -11,6 +11,13 @@
 // synchronized (obs counters/histograms/gauges and the automata cache
 // qualify). Exceptions must not escape `work`.
 //
+// Each pool thread runs under a mirror of the calling thread's installed
+// ExecContext (ExecContext::ChildOf, common/deadline.h): `work` polls the
+// caller's deadline, cancel token and byte budget, and charges the
+// caller's memory pot, exactly as it would inline. A mirror latches on its
+// own thread, so the caller learns of a worker's trip by polling its own
+// context after the pool joins.
+//
 // This is the pool behind batched containment (containment/batch.h) and
 // multi-source graph evaluation (pathquery/path_query.h).
 #ifndef RQ_COMMON_PARALLEL_H_
@@ -20,6 +27,8 @@
 #include <cstddef>
 #include <thread>
 #include <vector>
+
+#include "common/deadline.h"
 
 namespace rq {
 
@@ -43,12 +52,16 @@ void ParallelForWorker(size_t n, unsigned jobs, Work&& work) {
     return;
   }
   unsigned workers = jobs < n ? jobs : static_cast<unsigned>(n);
+  const ExecContext* parent = ExecContext::Current();
   std::atomic<size_t> next{0};
   {
     std::vector<std::jthread> pool;
     pool.reserve(workers);
     for (unsigned w = 0; w < workers; ++w) {
-      pool.emplace_back([&next, n, &work, w] {
+      pool.emplace_back([&next, n, &work, w, parent] {
+        // A caller without a context gets workers without one.
+        ExecContext mirror = ExecContext::ChildOf(parent);
+        ScopedExecContext scoped(parent != nullptr ? &mirror : nullptr);
         for (;;) {
           size_t i = next.fetch_add(1, std::memory_order_relaxed);
           if (i >= n) return;

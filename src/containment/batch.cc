@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/deadline.h"
-#include "common/mem.h"
 #include "common/parallel.h"
 #include "common/status.h"
 #include "obs/profile.h"
@@ -74,68 +73,50 @@ void RunJobs(size_t n, unsigned jobs, Work work) {
 }
 
 unsigned EffectiveJobs(const ContainmentBatchOptions& options) {
-  return options.jobs != 0 ? options.jobs : DefaultContainmentJobs();
+  return options.jobs != 0 ? options.jobs : DefaultParallelJobs();
 }
 
-// Per-batch deadline/cancellation bookkeeping shared by both batch entry
-// points. The parent ExecContext is captured on the CALLING thread (pool
-// workers do not inherit its thread-local installation); each job then
-// runs under a fresh child context combining:
+// Per-job policy shared by both batch entry points. The caller's context
+// is captured when the batch starts; each job then runs under one fresh
+// context combining:
 //   * a fresh job deadline (options.job_timeout_ms, measured from pickup)
-//     clipped to the parent's deadline, and
-//   * one cancel source — the caller-supplied token, else the parent's
-//     token, else the batch's internal first-error token.
-// Jobs not yet started when any of those sources fires report kCancelled
+//     clipped to the caller's deadline;
+//   * one cancel source — the caller-supplied token, else the caller's
+//     token, else the batch's internal first-error token;
+//   * a per-job byte budget (options.memory_budget_bytes, 0 = unlimited)
+//     whose pot chains to the caller's, so job bytes roll up into the
+//     caller's accounting and a trip of either budget fails the job with
+//     kResourceExhausted at its next poll.
+// Jobs not yet started when any cancel source fires report kCancelled
 // without running; jobs already running unwind at their next poll only if
 // their own context watches the fired token.
-// Memory budgets follow the same shape: the caller's installed MemContext
-// is captured here, and each job runs under a fresh per-job context
-// (options.memory_budget_bytes, 0 = unlimited) chained to it — job bytes
-// roll up into the caller's accounting, and a trip of either budget fails
-// the job with kResourceExhausted at its next poll.
 struct BatchExecGuard {
   const ContainmentBatchOptions& options;
-  ExecContext* parent;
-  MemContext* mem_parent;
+  const ExecContext* parent;
   CancelToken first_error;
 
   explicit BatchExecGuard(const ContainmentBatchOptions& opts)
-      : options(opts),
-        parent(ExecContext::Current()),
-        mem_parent(MemContext::Current()) {}
+      : options(opts), parent(ExecContext::Current()) {}
 
-  CancelToken* JobCancelToken() {
-    if (options.cancel != nullptr) return options.cancel;
-    if (parent != nullptr && parent->cancel_token() != nullptr) {
-      return parent->cancel_token();
-    }
-    return &first_error;
-  }
-
-  bool CancelledBeforeStart() {
+  bool CancelledBeforeStart() const {
     return first_error.Cancelled() ||
            (options.cancel != nullptr && options.cancel->Cancelled()) ||
            (parent != nullptr && parent->cancel_token() != nullptr &&
             parent->cancel_token()->Cancelled());
   }
 
-  // Fresh per-job memory context: carries the per-job budget and chains to
-  // the caller's context (if any). Returns a budget-free root when neither
-  // exists — NeedsMemContext() gates installing it at all.
-  bool NeedsMemContext() const {
-    return options.memory_budget_bytes != 0 || mem_parent != nullptr;
-  }
-
-  MemContext JobMemContext() const {
-    return MemContext(options.memory_budget_bytes, mem_parent);
-  }
-
-  Deadline JobDeadline() const {
-    Deadline d = options.job_timeout_ms > 0
-                     ? Deadline::AfterMillis(options.job_timeout_ms)
-                     : Deadline::Infinite();
-    if (parent != nullptr) d = Deadline::Earlier(d, parent->deadline());
-    return d;
+  ExecContext JobContext() {
+    Deadline deadline = options.job_timeout_ms > 0
+                            ? Deadline::AfterMillis(options.job_timeout_ms)
+                            : Deadline::Infinite();
+    CancelToken* cancel = &first_error;
+    if (parent != nullptr) {
+      deadline = Deadline::Earlier(deadline, parent->deadline());
+      if (parent->cancel_token() != nullptr) cancel = parent->cancel_token();
+    }
+    if (options.cancel != nullptr) cancel = options.cancel;
+    return ExecContext(deadline, cancel, options.memory_budget_bytes,
+                       parent);
   }
 
   void OnJobResult(const Status& status) {
@@ -144,12 +125,6 @@ struct BatchExecGuard {
 };
 
 }  // namespace
-
-void SetDefaultContainmentJobs(unsigned jobs) {
-  SetDefaultParallelJobs(jobs);
-}
-
-unsigned DefaultContainmentJobs() { return DefaultParallelJobs(); }
 
 std::vector<LanguageContainmentResult> CheckContainmentBatch(
     const std::vector<NfaContainmentJob>& jobs,
@@ -178,12 +153,9 @@ std::vector<LanguageContainmentResult> CheckContainmentBatch(
           " cancelled before start");
       return;
     }
-    ExecContext ctx(guard.JobDeadline(), guard.JobCancelToken());
-    MemContext mem_ctx = guard.JobMemContext();
+    ExecContext ctx = guard.JobContext();
     {
       ScopedExecContext scoped(&ctx);
-      ScopedMemContext scoped_mem(guard.NeedsMemContext() ? &mem_ctx
-                                                          : nullptr);
       switch (options.algo) {
         case ContainmentAlgo::kOnTheFly:
           results[i] = CheckLanguageContainment(*jobs[i].a, *jobs[i].b);
@@ -227,12 +199,9 @@ std::vector<PathContainmentResult> CheckPathContainmentBatch(
           " cancelled before start");
       return;
     }
-    ExecContext ctx(guard.JobDeadline(), guard.JobCancelToken());
-    MemContext mem_ctx = guard.JobMemContext();
+    ExecContext ctx = guard.JobContext();
     {
       ScopedExecContext scoped(&ctx);
-      ScopedMemContext scoped_mem(guard.NeedsMemContext() ? &mem_ctx
-                                                          : nullptr);
       results[i] =
           CheckPathQueryContainment(*jobs[i].q1, *jobs[i].q2, alphabet);
     }

@@ -6,6 +6,9 @@
 // checkers (automata/containment.h, pathquery/containment.h) — including
 // their use of the automata cache, which is thread-safe and deduplicates
 // shared sub-constructions across concurrent workers (docs/CACHING.md).
+// Each job runs under one fresh ExecContext (common/deadline.h) built from
+// the options below and chained to the caller's installed context, so the
+// caller's deadline, cancel token and byte budget bound every job.
 #ifndef RQ_CONTAINMENT_BATCH_H_
 #define RQ_CONTAINMENT_BATCH_H_
 
@@ -27,8 +30,8 @@ enum class ContainmentAlgo {
 };
 
 struct ContainmentBatchOptions {
-  // Worker threads; 0 means DefaultContainmentJobs(). Values <= 1 run the
-  // batch inline on the calling thread (no pool).
+  // Worker threads; 0 means DefaultParallelJobs() (common/parallel.h).
+  // Values <= 1 run the batch inline on the calling thread (no pool).
   unsigned jobs = 0;
   ContainmentAlgo algo = ContainmentAlgo::kOnTheFly;
   // Per-job wall-clock budget in milliseconds (0 = none). Each job gets a
@@ -45,20 +48,13 @@ struct ContainmentBatchOptions {
   // Up-front validation failures (null pointers) never trigger this; the
   // rest of the batch still runs.
   bool cancel_on_error = true;
-  // Per-job memory budget in bytes (0 = none). Each job runs under a fresh
-  // MemContext (common/mem.h) chained to the caller's installed context, so
-  // job bytes also count against any caller-wide budget. A job crossing
-  // either budget fails with kResourceExhausted in its result Status at its
-  // next poll, through the same sites that enforce job_timeout_ms.
+  // Per-job memory budget in bytes (0 = none). Each job's context has its
+  // own accounting pot chained to the caller's installed context, so job
+  // bytes also count against any caller-wide budget. A job crossing either
+  // budget fails with kResourceExhausted in its result Status at its next
+  // poll, through the same sites that enforce job_timeout_ms.
   uint64_t memory_budget_bytes = 0;
 };
-
-// Process-wide default worker count used when options.jobs == 0. Starts at
-// 1 (serial); rqcheck/rqeval --jobs N and the bench harness raise it.
-// Aliases the shared knob in common/parallel.h, which multi-source graph
-// evaluation (pathquery/path_query.h) also reads.
-void SetDefaultContainmentJobs(unsigned jobs);
-unsigned DefaultContainmentJobs();
 
 // One L(a) ⊆ L(b) check. Both automata must outlive the batch call and
 // share num_symbols.

@@ -86,7 +86,7 @@ struct CrpqContainmentOptions {
   size_t max_word_length = 4;
   size_t max_expansions = 50000;
   // Worker threads for the per-disjunct batch dispatch; 0 means the
-  // process default (SetDefaultContainmentJobs / rqcheck --jobs).
+  // process default (SetDefaultParallelJobs / rqcheck --jobs).
   unsigned jobs = 0;
 };
 

@@ -7,7 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "common/mem.h"
+#include "common/deadline.h"
 #include "obs/counters.h"
 
 #if !defined(_WIN32)
@@ -328,11 +328,12 @@ void FlightTimer::Finish(int32_t verdict, uint64_t work) {
   finished_ = true;
   if (!outermost_) return;
   // The memory high-water mark of the query this timer wraps, when the
-  // entry point runs under a MemContext (CLI / batch engine installs one).
-  const MemContext* mem = MemContext::Current();
+  // entry point runs under an ExecContext (CLIs, server and batch engine
+  // install one).
+  const ExecContext* ctx = ExecContext::Current();
   FlightRecorder::Global().Record(kind_, verdict, SteadyNowNs() - start_ns_,
                                   work,
-                                  mem != nullptr ? mem->peak_total_bytes()
+                                  ctx != nullptr ? ctx->peak_total_bytes()
                                                  : 0);
 }
 

@@ -95,8 +95,8 @@ struct FlightEntry {
   uint64_t start_ns = 0;     // steady-clock, relative to recorder creation
   uint64_t duration_ns = 0;
   uint64_t work = 0;         // per-kind primary work metric (see above)
-  uint64_t mem_peak = 0;     // peak tracked bytes (MemContext high-water;
-                             // 0 when no context was installed)
+  uint64_t mem_peak = 0;     // peak tracked bytes (ExecContext pot
+                             // high-water; 0 when no context was installed)
 };
 
 // One slow-query log row (richer than a ring slot: carries the label the
@@ -119,8 +119,8 @@ class FlightRecorder {
   static FlightRecorder& Global();
 
   // Records one completed query. Lock-free; callable from any thread.
-  // `mem_peak` is the query's MemContext high-water mark in bytes (0 when
-  // none was installed around the operation).
+  // `mem_peak` is the high-water mark of the query's ExecContext pot in
+  // bytes (0 when none was installed around the operation).
   void Record(QueryKind kind, int32_t verdict, uint64_t duration_ns,
               uint64_t work, uint64_t mem_peak = 0);
 
@@ -180,7 +180,7 @@ class FlightRecorder {
 
 // RAII timing helper for the top-level entry points: starts the clock at
 // construction; Finish(verdict, work) records the summary, sampling the
-// calling thread's installed MemContext (if any) for the entry's mem_peak
+// calling thread's installed ExecContext (if any) for the entry's mem_peak
 // field. A timer destroyed without Finish records kFlightVerdictAbandoned
 // (an error path unwound through the entry point).
 //

@@ -30,7 +30,7 @@ struct MemStats {
   Gauge& peak_rss_bytes = *GetGauge("mem.peak_rss_bytes");
   // Per-charge distribution of positive charge sizes.
   Histogram& alloc_bytes = *GetHistogram("mem.alloc_bytes");
-  // Budget trips (once per MemContext that latched kResourceExhausted).
+  // Budget trips (once per ExecContext that latched kResourceExhausted).
   Counter& budget_exceeded = *GetCounter("mem.budget_exceeded");
 
   static MemStats& Get();

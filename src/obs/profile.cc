@@ -5,6 +5,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/deadline.h"
 #include "obs/counters.h"
 #include "obs/gauge.h"
 #include "obs/mem_stats.h"
@@ -79,14 +80,14 @@ void QueryProfile::End() {
   // live levels: transient scopes have already released by now). Sampled
   // before the gauge snapshot below so mem.peak_rss_bytes is fresh in the
   // window.
-  if (const MemContext* mem = MemContext::Current(); mem != nullptr) {
+  if (const ExecContext* ctx = ExecContext::Current(); ctx != nullptr) {
     memory_.present = true;
-    memory_.peak_total_bytes = mem->peak_total_bytes();
-    memory_.budget_bytes = mem->budget_bytes();
-    memory_.exceeded = mem->exceeded();
+    memory_.peak_total_bytes = ctx->peak_total_bytes();
+    memory_.budget_bytes = ctx->budget_bytes();
+    memory_.exceeded = ctx->exceeded();
     for (int i = 0; i < kMemSubsystemCount; ++i) {
       memory_.peak_subsystem_bytes[i] =
-          mem->peak_subsystem_bytes(static_cast<MemSubsystem>(i));
+          ctx->peak_subsystem_bytes(static_cast<MemSubsystem>(i));
     }
   }
   SampleRssGauge();

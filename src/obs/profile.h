@@ -90,10 +90,10 @@ struct ProfileWorker {
   uint64_t busy_ns = 0;
 };
 
-// Per-query memory attribution, read from the MemContext installed on the
-// profiling thread when the window closes (common/mem.h). `present` is
-// false when no context was installed — the memory section is then omitted
-// from the report.
+// Per-query memory attribution, read from the pot of the ExecContext
+// installed on the profiling thread when the window closes
+// (common/deadline.h). `present` is false when no context was installed —
+// the memory section is then omitted from the report.
 struct ProfileMemory {
   bool present = false;
   uint64_t peak_total_bytes = 0;
@@ -155,7 +155,7 @@ class QueryProfile {
   //     "stats":      { key: N, ... },
   //     "notes":      { key: S, ... } }
   // Arrays list only entries whose window is non-empty; "memory" appears
-  // only when a MemContext was installed around the profiled operation.
+  // only when an ExecContext was installed around the profiled operation.
   JsonValue ToJson() const;
   std::string ToText() const;  // EXPLAIN ANALYZE-style, for --profile
 

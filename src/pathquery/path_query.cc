@@ -128,24 +128,9 @@ std::vector<std::vector<NodeId>> EvalPathQueryFromSources(
   const Nfa nfa = input.HasEpsilons() ? input.WithoutEpsilons() : input;
   std::vector<std::vector<NodeId>> answers(sources.size());
   unsigned jobs = options.jobs != 0 ? options.jobs : DefaultParallelJobs();
-  // Pool workers don't inherit the caller's thread-local ExecContext;
-  // mirror it per worker slot so every BFS observes the same deadline and
-  // cancel token (ChildOf(nullptr) is a free no-op context).
-  ExecContext* parent = ExecContext::Current();
-  MemContext* mem_parent = MemContext::Current();
-  unsigned slots = jobs > 1 ? jobs : 1;
-  std::vector<ExecContext> worker_ctx;
-  std::vector<MemContext> worker_mem;
-  worker_ctx.reserve(slots);
-  worker_mem.reserve(slots);
-  for (unsigned w = 0; w < slots; ++w) {
-    worker_ctx.push_back(ExecContext::ChildOf(parent));
-    worker_mem.push_back(MemContext::ChildOf(mem_parent));
-  }
-  ParallelForWorker(sources.size(), jobs, [&](unsigned w, size_t i) {
-    ScopedExecContext scoped(&worker_ctx[w]);
-    ScopedMemContext scoped_mem(mem_parent != nullptr ? &worker_mem[w]
-                                                      : nullptr);
+  // Every BFS observes the caller's context: the pool installs a mirror of
+  // it on each worker (common/parallel.h).
+  ParallelFor(sources.size(), jobs, [&](size_t i) {
     answers[i] = ProductBfs(snapshot, nfa, sources[i]);
   });
   uint64_t total_answers = 0;

@@ -83,10 +83,10 @@ obs::JsonValue HandleContainment(const Request& request,
     if (!r1.ok()) return StatusError(request.id, r1.status());
     auto r2 = ParseRegex(request.q2, &alphabet);
     if (!r2.ok()) return StatusError(request.id, r2.status());
-    // Route through the batch engine (one-job batch): the worker-pool
-    // BatchExecGuard chains the job's deadline/budget to the per-request
-    // contexts the server installed, and the shared automata cache
-    // deduplicates sub-constructions across concurrent requests.
+    // Route through the batch engine (one-job batch): the job's context
+    // clips its deadline to, and chains its pot to, the per-request context
+    // the server installed, and the shared automata cache deduplicates
+    // sub-constructions across concurrent requests.
     std::vector<PathContainmentJob> jobs = {{r1->get(), r2->get()}};
     std::vector<PathContainmentResult> results =
         CheckPathContainmentBatch(jobs, alphabet);

@@ -1,8 +1,8 @@
 // Request execution for the query service: maps one decoded protocol
 // Request onto the library's checkers and evaluators and renders the
 // response document. Handlers run on server worker threads with the
-// per-request ExecContext / MemContext already installed (server.cc), so
-// deadline and budget trips surface here as non-OK Statuses and become
+// per-request ExecContext already installed (server.cc), so deadline and
+// budget trips surface here as non-OK Statuses and become
 // `deadline_exceeded` / `resource_exhausted` wire errors.
 #ifndef RQ_SERVER_HANDLERS_H_
 #define RQ_SERVER_HANDLERS_H_

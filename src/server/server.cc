@@ -488,31 +488,28 @@ void QueryServer::WorkerLoop() {
   }
 }
 
-void QueryServer::ExecuteJob(Job& job) {
-  auto& counters = obs::ServerCounters::Get();
+ExecContext QueryServer::RequestContext(const Request& request) {
   int64_t timeout_ms =
-      ClipToCap(job.request.timeout_ms, options_.default_timeout_ms,
+      ClipToCap(request.timeout_ms, options_.default_timeout_ms,
                 options_.max_timeout_ms);
   int64_t budget_mb =
-      ClipToCap(job.request.memory_budget_mb,
-                options_.default_memory_budget_mb,
+      ClipToCap(request.memory_budget_mb, options_.default_memory_budget_mb,
                 options_.max_memory_budget_mb);
+  return ExecContext(
+      timeout_ms > 0 ? Deadline::AfterMillis(timeout_ms)
+                     : Deadline::Infinite(),
+      &cancel_,
+      budget_mb > 0 ? static_cast<uint64_t>(budget_mb) * 1024 * 1024 : 0,
+      &server_pot_);
+}
 
+void QueryServer::ExecuteJob(Job& job) {
+  auto& counters = obs::ServerCounters::Get();
   uint64_t start_ns = NowNanos();
   obs::JsonValue response;
-  // The per-request budget chains to the server-wide pot: every charge the
-  // handler makes also lands there, which is what the admission
-  // controller's in-flight byte threshold reads.
-  MemContext mem_ctx(budget_mb > 0
-                         ? static_cast<uint64_t>(budget_mb) * 1024 * 1024
-                         : 0,
-                     &server_pot_);
+  ExecContext exec_ctx = RequestContext(job.request);
   {
-    ExecContext exec_ctx(timeout_ms > 0 ? Deadline::AfterMillis(timeout_ms)
-                                        : Deadline::Infinite(),
-                         &cancel_);
     ScopedExecContext scoped_exec(&exec_ctx);
-    ScopedMemContext scoped_mem(&mem_ctx);
     HandlerContext ctx;
     ctx.view = std::move(job.view);
     ctx.store = &store_;
@@ -525,7 +522,7 @@ void QueryServer::ExecuteJob(Job& job) {
   const obs::JsonValue* error = response.Find("error");
   if (error != nullptr &&
       error->kind() == obs::JsonValue::Kind::kString &&
-      error->string_value() == "deadline_exceeded" && mem_ctx.exceeded()) {
+      error->string_value() == "deadline_exceeded" && exec_ctx.exceeded()) {
     response = ErrorResponse(job.request.id, "resource_exhausted",
                              "memory budget exceeded (deadline also expired)");
   }
@@ -535,26 +532,13 @@ void QueryServer::ExecuteJob(Job& job) {
 
 obs::JsonValue QueryServer::ExecuteUpdate(const Request& request) {
   auto& counters = obs::ServerCounters::Get();
-  int64_t timeout_ms =
-      ClipToCap(request.timeout_ms, options_.default_timeout_ms,
-                options_.max_timeout_ms);
-  int64_t budget_mb =
-      ClipToCap(request.memory_budget_mb, options_.default_memory_budget_mb,
-                options_.max_memory_budget_mb);
   uint64_t start_ns = NowNanos();
   Result<GraphStore::UpdateResult> applied = [&] {
     // Same resource envelope as worker-side requests: the incremental
     // closure maintenance inside Apply polls this context, and its
     // transient charges land in the server-wide pot.
-    MemContext mem_ctx(budget_mb > 0
-                           ? static_cast<uint64_t>(budget_mb) * 1024 * 1024
-                           : 0,
-                       &server_pot_);
-    ExecContext exec_ctx(timeout_ms > 0 ? Deadline::AfterMillis(timeout_ms)
-                                        : Deadline::Infinite(),
-                         &cancel_);
+    ExecContext exec_ctx = RequestContext(request);
     ScopedExecContext scoped_exec(&exec_ctx);
-    ScopedMemContext scoped_mem(&mem_ctx);
     return store_.Apply(request.ops);
   }();
   obs::JsonValue response;

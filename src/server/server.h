@@ -18,12 +18,12 @@
 //     memory exceeds max_inflight_bytes, so overload degrades into fast
 //     rejections instead of unbounded buffering;
 //   * `workers` worker threads popping the queue. Each request runs under
-//     a fresh ExecContext deadline and MemContext budget derived from the
+//     one fresh ExecContext whose deadline and byte budget derive from the
 //     request's timeout_ms / memory_budget_mb clipped to the server caps;
-//     request MemContexts chain to one server-wide pot, which is what the
-//     in-flight byte threshold reads. The containment/eval handlers reuse
-//     the batch engine and the shared automata cache, so the cache stays
-//     warm across requests.
+//     request contexts chain their pots to one server-wide pot, which is
+//     what the in-flight byte threshold reads. The containment/eval
+//     handlers reuse the batch engine and the shared automata cache, so the
+//     cache stays warm across requests.
 //
 // Graceful drain (SIGTERM in rqserved): BeginDrain() stops accepting,
 // requests already queued or running complete and their responses are
@@ -48,7 +48,6 @@
 #include <vector>
 
 #include "common/deadline.h"
-#include "common/mem.h"
 #include "common/status.h"
 #include "graph/graph_db.h"
 #include "relational/relation.h"
@@ -169,6 +168,10 @@ class QueryServer {
   void ServeHttp(const ConnPtr& conn);
   void HandleFrames(const ConnPtr& conn);
   void WorkerLoop();
+  // The resource envelope of one request: its timeout_ms /
+  // memory_budget_mb clipped to the server caps, the server's cancel token,
+  // and a pot chained to server_pot_.
+  ExecContext RequestContext(const Request& request);
   void ExecuteJob(Job& job);
   // Applies one update batch against the graph store (on the connection
   // reader thread, so per-connection pipelining reads its own writes).
@@ -187,9 +190,10 @@ class QueryServer {
   int wake_pipe_[2] = {-1, -1};
   uint16_t port_ = 0;
 
-  // Accounting pot shared by every in-flight request's MemContext; its
-  // total is the admission controller's in-flight byte signal.
-  MemContext server_pot_;
+  // Never installed: every in-flight request's context chains its pot to
+  // this one, whose total is the admission controller's in-flight byte
+  // signal.
+  ExecContext server_pot_;
   // Tripped by Stop() so in-flight requests unwind promptly.
   CancelToken cancel_;
 

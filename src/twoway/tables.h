@@ -39,7 +39,7 @@ struct TwoNfaTableHash {
 
 // Heap bytes held by one table: (num_states + 1) bitsets of
 // ceil(num_states/64) words each, plus the back-vector spine. Used to
-// charge table interning against the thread's MemContext — the table
+// charge table interning against the thread's ExecContext — the table
 // space is the 2^(n²+n) blowup of the 2RPQ pipeline, so this is where
 // byte budgets must bite.
 size_t ApproxTableBytes(const TwoNfaTable& table);

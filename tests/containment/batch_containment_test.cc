@@ -13,6 +13,7 @@
 
 #include "automata/alphabet.h"
 #include "cache/automata_cache.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "obs/counters.h"
 #include "regex/regex.h"
@@ -126,11 +127,11 @@ TEST(BatchContainmentTest, ZeroJobsUsesProcessDefault) {
   std::vector<LanguageContainmentResult> expected =
       CheckContainmentBatch(pool.jobs, explicit_serial);
 
-  unsigned saved = DefaultContainmentJobs();
-  SetDefaultContainmentJobs(4);
+  unsigned saved = DefaultParallelJobs();
+  SetDefaultParallelJobs(4);
   std::vector<LanguageContainmentResult> got =
       CheckContainmentBatch(pool.jobs);  // options.jobs == 0
-  SetDefaultContainmentJobs(saved);
+  SetDefaultParallelJobs(saved);
 
   ASSERT_EQ(got.size(), expected.size());
   for (size_t i = 0; i < got.size(); ++i) {

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/deadline.h"
-#include "common/mem.h"
 #include "common/rng.h"
 #include "obs/counters.h"
 #include "rq/eval.h"
@@ -139,8 +138,9 @@ TEST(IncrementalClosureTest, MemoryBudgetStopsLargeDeltaProduct) {
     MustAdd(inc, 2 + i, 0);
     MustAdd(inc, 1, 2 + kFan + i);
   }
-  MemContext mem(/*budget_bytes=*/1024);
-  ScopedMemContext installed(&mem);
+  ExecContext ctx(Deadline::Infinite(), /*cancel=*/nullptr,
+                  /*budget_bytes=*/1024);
+  ScopedExecContext installed(&ctx);
   auto delta = inc.AddEdge(0, 1);
   ASSERT_FALSE(delta.ok());
   EXPECT_EQ(delta.status().code(), StatusCode::kResourceExhausted);

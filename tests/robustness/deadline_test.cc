@@ -340,50 +340,61 @@ TEST(BatchStatusTest, ExternalTokenCancelsQueuedJobs) {
 // budget used to evict every resident entry and then itself — the cache
 // ended up empty. Oversized values now bypass insertion.
 // Exit-code precedence when BOTH resource bounds trip (docs/ROBUSTNESS.md
-// "Which error wins"): each context latches its own verdict independently
-// and sticks to it, but the shared polling site CheckExecContext() consults
-// the memory budget BEFORE the deadline, so once the byte budget is
-// exceeded every subsequent poll reports kResourceExhausted — even if the
-// deadline latched kDeadlineExceeded first. rqcheck mirrors this: a check
-// whose MemContext pot was exceeded exits 4 even when the deadline also
-// expired.
+// "Which error wins"): a context polls its byte budget BEFORE its cancel
+// token and deadline, and a crossed budget overrides even a latched
+// deadline, so once the byte budget is exceeded every subsequent poll
+// reports kResourceExhausted. rqcheck mirrors this: a check whose pot was
+// exceeded exits 4 even when the deadline also expired.
 TEST(ResourcePrecedenceTest, MemoryVerdictOutranksLatchedDeadline) {
-  ExecContext ctx(ExpiredDeadline());
+  obs::CounterDelta delta;
+  ExecContext ctx(ExpiredDeadline(), /*cancel=*/nullptr,
+                  /*budget_bytes=*/1);  // the first charge crosses it
   ScopedExecContext scoped(&ctx);
-  // The deadline latches first: no memory context installed yet.
+  // The deadline latches first: nothing has been charged yet.
   EXPECT_EQ(CheckExecContext().code(), StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(ctx.stopped());
-
-  MemContext mem(1);  // 1-byte budget: the first charge crosses it
-  ScopedMemContext scoped_mem(&mem);
   {
     MemScope scope(MemSubsystem::kOther);
     MemCharge(2);
-    // Both bounds are now tripped. The memory verdict wins at the shared
-    // polling site, and keeps winning (both latches are sticky)...
+    // Both bounds are now tripped. The memory verdict overrides the
+    // latched deadline, and keeps winning...
     EXPECT_EQ(CheckExecContext().code(), StatusCode::kResourceExhausted);
     EXPECT_EQ(CheckExecContext().code(), StatusCode::kResourceExhausted);
   }
-  // ...while the ExecContext's own latch still remembers the deadline —
-  // precedence is a property of the polling site, not a rewrite of either
-  // context's latched status.
-  EXPECT_EQ(ctx.Check().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_TRUE(mem.exceeded());
+  // ...after the charge is released too: the one latch now holds it.
+  EXPECT_EQ(ctx.Check().code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(ctx.exceeded());
+  // Each verdict was counted once, when it latched.
+  EXPECT_EQ(delta.Delta("deadline.expired"), 1u);
+  EXPECT_EQ(delta.Delta("mem.budget_exceeded"), 1u);
 }
 
 TEST(ResourcePrecedenceTest, MemoryVerdictWinsWhenBothTripBeforeFirstPoll) {
-  // Fresh contexts, both already over their bounds before anything polls:
-  // the first poll reports the memory verdict, so a query that trips both
+  // A fresh context already over both bounds before anything polls: the
+  // first poll reports the memory verdict, so a query that trips both
   // surfaces kResourceExhausted (rqcheck exit 4), not kDeadlineExceeded.
-  MemContext mem(1);
-  ScopedMemContext scoped_mem(&mem);
-  ExecContext ctx(ExpiredDeadline());
+  obs::CounterDelta delta;
+  ExecContext ctx(ExpiredDeadline(), /*cancel=*/nullptr,
+                  /*budget_bytes=*/1);
   ScopedExecContext scoped(&ctx);
   MemScope scope(MemSubsystem::kOther);
   MemCharge(2);
   EXPECT_EQ(CheckExecContext().code(), StatusCode::kResourceExhausted);
-  // The deadline never got to latch through the shared site.
-  EXPECT_FALSE(ctx.stopped());
+  // The deadline never got to latch.
+  EXPECT_EQ(delta.Delta("deadline.expired"), 0u);
+}
+
+TEST(ResourcePrecedenceTest, MemoryOutranksCancelOutranksDeadline) {
+  CancelToken token;
+  token.Cancel();
+  ExecContext ctx(ExpiredDeadline(), &token, /*budget_bytes=*/1);
+  ScopedExecContext scoped(&ctx);
+  // Cancelled and expired: the token is read before the clock.
+  EXPECT_EQ(CheckExecContext().code(), StatusCode::kCancelled);
+  MemScope scope(MemSubsystem::kOther);
+  MemCharge(2);
+  // A crossed budget overrides the latched cancellation too.
+  EXPECT_EQ(CheckExecContext().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(ResourcePrecedenceTest, CheckerSurfacesMemoryErrorWhenBothTrip) {
@@ -393,12 +404,11 @@ TEST(ResourcePrecedenceTest, CheckerSurfacesMemoryErrorWhenBothTrip) {
   Alphabet alphabet;
   RegexPtr q1 = Parse("a a* b", &alphabet);
   RegexPtr q2 = Parse("a* b", &alphabet);
-  MemContext mem(1);
-  ScopedMemContext scoped_mem(&mem);
+  ExecContext ctx(ExpiredDeadline(), /*cancel=*/nullptr,
+                  /*budget_bytes=*/1);
+  ScopedExecContext scoped(&ctx);
   MemScope scope(MemSubsystem::kOther);
   MemCharge(2);
-  ExecContext ctx(ExpiredDeadline());
-  ScopedExecContext scoped(&ctx);
   PathContainmentResult result =
       CheckPathQueryContainment(*q1, *q2, alphabet);
   EXPECT_EQ(result.status.code(), StatusCode::kResourceExhausted);

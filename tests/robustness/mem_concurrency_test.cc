@@ -1,7 +1,8 @@
 // Memory accounting under real concurrency (ctest label `memv1`, tsan
-// binary): MemContext::ChildOf mirrors charging one shared pot from many
-// threads, budget trips racing across mirrors, and the two fan-out sites
-// that build per-worker mirrors (the batch containment pool and parallel
+// binary): ExecContext::ChildOf mirrors charging one shared pot from many
+// threads, budget trips racing across mirrors, the executor installing a
+// mirror of the caller's context on every ParallelFor worker, and the two
+// fan-out sites built on it (the batch containment pool and parallel
 // multi-source graph evaluation). ThreadSanitizer checks the atomics; the
 // asserts check that concurrent charges aggregate exactly and that budget
 // trips are sticky and coherent on every thread.
@@ -10,9 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <latch>
+#include <memory>
 #include <thread>
 #include <vector>
 
+#include "common/deadline.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "containment/batch.h"
@@ -64,7 +68,7 @@ NfaPool MakePool(int num_jobs, uint64_t seed) {
 TEST(MemConcurrencyTest, MirrorsAggregateExactlyIntoOnePot) {
   constexpr int kThreads = 8;
   constexpr int64_t kBytesPerThread = 1000;
-  MemContext root;
+  ExecContext root;
   // Every thread holds its charge at the latch, so the pot's peak must
   // reach exactly kThreads * kBytesPerThread — no more (total never
   // overshoots), no less (all charges are simultaneously live).
@@ -72,8 +76,8 @@ TEST(MemConcurrencyTest, MirrorsAggregateExactlyIntoOnePot) {
   std::vector<std::jthread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&root, &all_charged] {
-      MemContext mirror = MemContext::ChildOf(&root);
-      ScopedMemContext scoped(&mirror);
+      ExecContext mirror = ExecContext::ChildOf(&root);
+      ScopedExecContext scoped(&mirror);
       MemScope scope(MemSubsystem::kAutomata);
       MemCharge(kBytesPerThread);
       all_charged.arrive_and_wait();
@@ -91,12 +95,10 @@ TEST(MemConcurrencyTest, MirrorOutlivesItsRoot) {
   // The pot is shared_ptr-owned: a mirror keeps it alive after the root
   // context object is gone, so pool workers can outlast the frame that
   // spawned them.
-  MemContext mirror;
-  {
-    MemContext root;
-    mirror = MemContext::ChildOf(&root);
-  }
-  ScopedMemContext scoped(&mirror);
+  auto root = std::make_unique<ExecContext>();
+  ExecContext mirror = ExecContext::ChildOf(root.get());
+  root.reset();
+  ScopedExecContext scoped(&mirror);
   MemCharge(5);
   MemCharge(-5);
   EXPECT_EQ(mirror.total_bytes(), 0u);
@@ -106,15 +108,16 @@ TEST(MemConcurrencyTest, MirrorOutlivesItsRoot) {
 TEST(MemConcurrencyTest, BudgetTripIsStickyAcrossRacingMirrors) {
   constexpr int kThreads = 8;
   obs::CounterDelta delta;
-  MemContext root(/*budget_bytes=*/1);
+  ExecContext root(Deadline::Infinite(), /*cancel=*/nullptr,
+                   /*budget_bytes=*/1);
   std::latch all_charged(kThreads);
   std::vector<StatusCode> codes(kThreads, StatusCode::kOk);
   {
     std::vector<std::jthread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&root, &all_charged, &codes, t] {
-        MemContext mirror = MemContext::ChildOf(&root);
-        ScopedMemContext scoped(&mirror);
+        ExecContext mirror = ExecContext::ChildOf(&root);
+        ScopedExecContext scoped(&mirror);
         MemScope scope(MemSubsystem::kFold);
         MemCharge(100);
         all_charged.arrive_and_wait();
@@ -133,10 +136,44 @@ TEST(MemConcurrencyTest, BudgetTripIsStickyAcrossRacingMirrors) {
             static_cast<uint64_t>(kThreads));
 }
 
+// The executor itself carries the caller's context to its workers: no
+// fan-out site code is involved.
+TEST(MemConcurrencyTest, ParallelForWorkersPollTheCallersDeadline) {
+  constexpr size_t kItems = 16;
+  ExecContext ctx(Deadline::AfterMillis(-1));  // already expired
+  ScopedExecContext scoped(&ctx);
+  std::vector<StatusCode> codes(kItems, StatusCode::kOk);
+  ParallelFor(kItems, 4,
+              [&codes](size_t i) { codes[i] = CheckExecContext().code(); });
+  for (size_t i = 0; i < kItems; ++i) {
+    EXPECT_EQ(codes[i], StatusCode::kDeadlineExceeded) << "item " << i;
+  }
+}
+
+TEST(MemConcurrencyTest, ParallelForWorkersChargeTheCallersPot) {
+  constexpr int kWorkers = 4;
+  constexpr int64_t kBytesPerWorker = 1000;
+  ExecContext ctx;  // unlimited
+  ScopedExecContext scoped(&ctx);
+  // Each worker holds its charge at the latch, so all four items run at
+  // once on four distinct pool threads and the peak is their sum.
+  std::latch all_charged(kWorkers);
+  ParallelFor(kWorkers, kWorkers, [&all_charged](size_t) {
+    MemScope scope(MemSubsystem::kGraph);
+    MemCharge(kBytesPerWorker);
+    all_charged.arrive_and_wait();
+  });
+  EXPECT_EQ(ctx.peak_total_bytes(),
+            static_cast<uint64_t>(kWorkers) * kBytesPerWorker);
+  EXPECT_EQ(ctx.peak_subsystem_bytes(MemSubsystem::kGraph),
+            static_cast<uint64_t>(kWorkers) * kBytesPerWorker);
+  EXPECT_EQ(ctx.total_bytes(), 0u);
+}
+
 TEST(MemConcurrencyTest, BatchPoolWorkersChargeCallerPot) {
   NfaPool pool = MakePool(24, 1234);
-  MemContext root;
-  ScopedMemContext scoped(&root);
+  ExecContext root;
+  ScopedExecContext scoped(&root);
   ContainmentBatchOptions options;
   options.jobs = 4;
   options.algo = ContainmentAlgo::kExplicit;  // determinizes, so it charges
@@ -146,7 +183,7 @@ TEST(MemConcurrencyTest, BatchPoolWorkersChargeCallerPot) {
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_TRUE(results[i].status.ok()) << "job " << i;
   }
-  // Worker mirrors chained to the caller's context: their subset-row
+  // Per-job contexts chained to the caller's context: their subset-row
   // charges aggregated into this pot from pool threads.
   EXPECT_GT(root.peak_total_bytes(), 0u);
   EXPECT_GT(root.peak_subsystem_bytes(MemSubsystem::kAutomata), 0u);
@@ -185,12 +222,13 @@ TEST(MemConcurrencyTest, ParallelMultiSourceEvalChargesCallerPot) {
 
   const auto serial = EvalPathQueryFromSources(*snapshot, nfa, sources,
                                                PathEvalOptions{.jobs = 1});
-  MemContext root;
-  ScopedMemContext scoped(&root);
+  ExecContext root;
+  ScopedExecContext scoped(&root);
   const auto parallel = EvalPathQueryFromSources(*snapshot, nfa, sources,
                                                  PathEvalOptions{.jobs = 8});
   EXPECT_EQ(parallel, serial);
-  // The per-worker mirrors charged BFS bitsets/frontiers into this pot.
+  // The pool's per-worker mirrors charged BFS bitsets/frontiers into this
+  // pot.
   EXPECT_GT(root.peak_subsystem_bytes(MemSubsystem::kGraph), 0u);
   EXPECT_EQ(root.total_bytes(), 0u);
 }

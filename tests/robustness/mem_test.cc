@@ -1,6 +1,7 @@
 // Memory accounting tests (ctest label `memv1`, sanitize binary): the
-// MemScope/MemContext attribution semantics of common/mem.h, budget
-// enforcement through the shared CheckExecContext() polling sites, the
+// MemScope attribution semantics of common/mem.h and the ExecContext pot
+// they charge, budget enforcement through the CheckExecContext() polling
+// sites, the
 // never-cache-truncated rule, the per-query profile memory section, the
 // Prometheus rq_mem_* families, and the accounting-vs-RSS sanity bound.
 // Budget tests use 1-byte budgets so the first charge crosses them —
@@ -34,6 +35,13 @@ RegexPtr Parse(const std::string& text, Alphabet* alphabet) {
   auto parsed = ParseRegex(text, alphabet);
   RQ_CHECK(parsed.ok());
   return *parsed;
+}
+
+// A context bounding bytes only (budget 0 = unlimited).
+ExecContext Budgeted(uint64_t budget_bytes,
+                     const ExecContext* parent = nullptr) {
+  return ExecContext(Deadline::Infinite(), /*cancel=*/nullptr, budget_bytes,
+                     parent);
 }
 
 int64_t LiveBytes(MemSubsystem subsystem) {
@@ -94,9 +102,9 @@ TEST(MemScopeTest, ChargeWithoutScopeLandsInOther) {
   EXPECT_EQ(LiveBytes(MemSubsystem::kOther), before);
 }
 
-TEST(MemContextTest, ChargesTrackSubsystemsAndPeaks) {
-  MemContext ctx;
-  ScopedMemContext scoped(&ctx);
+TEST(MemAccountingTest, ChargesTrackSubsystemsAndPeaks) {
+  ExecContext ctx;
+  ScopedExecContext scoped(&ctx);
   {
     MemScope scope(MemSubsystem::kComplement);
     MemCharge(2048);
@@ -110,31 +118,31 @@ TEST(MemContextTest, ChargesTrackSubsystemsAndPeaks) {
   EXPECT_EQ(ctx.peak_total_bytes(), 2048u);
 }
 
-TEST(MemContextTest, NoInstalledContextIsOk) {
-  EXPECT_TRUE(CheckMemBudget().ok());
+TEST(MemAccountingTest, NoInstalledContextIsOk) {
+  EXPECT_TRUE(CheckExecContext().ok());
 }
 
-TEST(MemContextTest, BudgetTripLatchesAndBumpsCounterOnce) {
+TEST(MemAccountingTest, BudgetTripLatchesAndBumpsCounterOnce) {
   obs::CounterDelta delta;
-  MemContext ctx(/*budget_bytes=*/1);
-  ScopedMemContext scoped(&ctx);
+  ExecContext ctx = Budgeted(1);
+  ScopedExecContext scoped(&ctx);
   EXPECT_TRUE(ctx.Check().ok());  // under budget until a charge crosses it
   MemCharge(4096);
   MemCharge(-4096);
   EXPECT_TRUE(ctx.exceeded());  // sticky: crossing latches even after release
-  Status first = CheckMemBudget();
+  Status first = CheckExecContext();
   EXPECT_EQ(first.code(), StatusCode::kResourceExhausted);
-  Status second = CheckMemBudget();
+  Status second = CheckExecContext();
   EXPECT_EQ(second.code(), StatusCode::kResourceExhausted);
   EXPECT_TRUE(ctx.stopped());
   EXPECT_EQ(delta.Delta("mem.budget_exceeded"), 1u);
 }
 
-TEST(MemContextTest, ChildOfSharesPotAndBudget) {
-  MemContext parent(/*budget_bytes=*/1);
-  MemContext child = MemContext::ChildOf(&parent);
+TEST(MemAccountingTest, ChildOfSharesPotAndBudget) {
+  ExecContext parent = Budgeted(1);
+  ExecContext child = ExecContext::ChildOf(&parent);
   {
-    ScopedMemContext scoped(&child);
+    ScopedExecContext scoped(&child);
     MemCharge(100);
   }
   EXPECT_EQ(parent.peak_total_bytes(), 100u);
@@ -142,15 +150,15 @@ TEST(MemContextTest, ChildOfSharesPotAndBudget) {
   // The mirror observes the shared trip with a fresh latch of its own.
   EXPECT_EQ(child.Check().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(parent.Check().code(), StatusCode::kResourceExhausted);
-  MemContext orphan = MemContext::ChildOf(nullptr);
+  ExecContext orphan = ExecContext::ChildOf(nullptr);
   EXPECT_FALSE(orphan.has_budget());
   EXPECT_EQ(orphan.total_bytes(), 0u);
 }
 
-TEST(MemContextTest, ParentChainReceivesChargesAndEnforcesBudget) {
-  MemContext batch_wide(/*budget_bytes=*/1);
-  MemContext job(/*budget_bytes=*/0, &batch_wide);
-  ScopedMemContext scoped(&job);
+TEST(MemAccountingTest, ParentChainReceivesChargesAndEnforcesBudget) {
+  ExecContext batch_wide = Budgeted(1);
+  ExecContext job = Budgeted(0, &batch_wide);
+  ScopedExecContext scoped(&job);
   MemCharge(64);
   // The job has no budget of its own, but the chained batch-wide budget
   // still stops it.
@@ -160,9 +168,9 @@ TEST(MemContextTest, ParentChainReceivesChargesAndEnforcesBudget) {
   MemCharge(-64);
 }
 
-TEST(MemContextTest, DurableChargesSkipContextAndBudget) {
-  MemContext ctx(/*budget_bytes=*/1);
-  ScopedMemContext scoped(&ctx);
+TEST(MemAccountingTest, DurableChargesSkipContextAndBudget) {
+  ExecContext ctx = Budgeted(1);
+  ScopedExecContext scoped(&ctx);
   int64_t before = LiveBytes(MemSubsystem::kCache);
   MemChargeDurable(MemSubsystem::kCache, 1 << 20);
   // Global gauge moved; the installed context saw nothing.
@@ -174,16 +182,16 @@ TEST(MemContextTest, DurableChargesSkipContextAndBudget) {
   EXPECT_EQ(LiveBytes(MemSubsystem::kCache), before);
 }
 
-TEST(MemContextTest, ScopeRestoresPreviousContext) {
-  MemContext outer;
-  ScopedMemContext outer_scope(&outer);
-  EXPECT_EQ(MemContext::Current(), &outer);
+TEST(MemAccountingTest, ScopeRestoresPreviousContext) {
+  ExecContext outer;
+  ScopedExecContext outer_scope(&outer);
+  EXPECT_EQ(ExecContext::Current(), &outer);
   {
-    MemContext inner;
-    ScopedMemContext inner_scope(&inner);
-    EXPECT_EQ(MemContext::Current(), &inner);
+    ExecContext inner;
+    ScopedExecContext inner_scope(&inner);
+    EXPECT_EQ(ExecContext::Current(), &inner);
   }
-  EXPECT_EQ(MemContext::Current(), &outer);
+  EXPECT_EQ(ExecContext::Current(), &outer);
 }
 
 // --- Propagation through the decision procedures -------------------------
@@ -192,8 +200,8 @@ TEST(MemBudgetPropagationTest, TwoWayFoldPipelineReturnsResourceExhausted) {
   Alphabet alphabet;
   RegexPtr q1 = Parse("p", &alphabet);
   RegexPtr q2 = Parse("p p- p", &alphabet);
-  MemContext ctx(/*budget_bytes=*/1);
-  ScopedMemContext scoped(&ctx);
+  ExecContext ctx = Budgeted(1);
+  ScopedExecContext scoped(&ctx);
   PathContainmentResult result =
       CheckPathQueryContainment(*q1, *q2, alphabet);
   EXPECT_EQ(result.status.code(), StatusCode::kResourceExhausted);
@@ -211,8 +219,8 @@ TEST(MemBudgetPropagationTest, DatalogEvalReturnsResourceExhausted) {
   Relation* e = db.GetOrCreate("edge", 2).value();
   e->Insert({1, 2});
   e->Insert({2, 3});
-  MemContext ctx(/*budget_bytes=*/1);
-  ScopedMemContext scoped(&ctx);
+  ExecContext ctx = Budgeted(1);
+  ScopedExecContext scoped(&ctx);
   auto result = EvalDatalogGoal(*program, db);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
@@ -221,8 +229,8 @@ TEST(MemBudgetPropagationTest, DatalogEvalReturnsResourceExhausted) {
 TEST(MemBudgetPropagationTest, RqExpansionReturnsResourceExhausted) {
   auto query = ParseRq("q(x,y) := tc[x,y](a(x,y) & b(x,y))");
   ASSERT_TRUE(query.ok());
-  MemContext ctx(/*budget_bytes=*/1);
-  ScopedMemContext scoped(&ctx);
+  ExecContext ctx = Budgeted(1);
+  ScopedExecContext scoped(&ctx);
   RqExpandLimits limits;
   auto result = ExpandRq(*query, limits);
   ASSERT_FALSE(result.ok());
@@ -233,8 +241,8 @@ TEST(MemBudgetPropagationTest, UnlimitedContextStillAttributes) {
   Alphabet alphabet;
   RegexPtr q1 = Parse("p", &alphabet);
   RegexPtr q2 = Parse("p p- p", &alphabet);
-  MemContext ctx;  // no budget: pure attribution
-  ScopedMemContext scoped(&ctx);
+  ExecContext ctx;  // no bounds: pure attribution
+  ScopedExecContext scoped(&ctx);
   PathContainmentResult result =
       CheckPathQueryContainment(*q1, *q2, alphabet);
   EXPECT_TRUE(result.status.ok());
@@ -251,8 +259,8 @@ TEST(MemBudgetPropagationTest, TruncatedByMemoryIsNeverCached) {
   RegexPtr q1 = Parse("p", &alphabet);
   RegexPtr q2 = Parse("p (p- p)*", &alphabet);
   {
-    MemContext ctx(/*budget_bytes=*/1);
-    ScopedMemContext scoped(&ctx);
+    ExecContext ctx = Budgeted(1);
+    ScopedExecContext scoped(&ctx);
     PathContainmentResult truncated =
         CheckPathQueryContainment(*q1, *q2, alphabet);
     ASSERT_EQ(truncated.status.code(), StatusCode::kResourceExhausted);
@@ -274,8 +282,8 @@ TEST(MemBudgetPropagationTest, TruncatedByMemoryIsNeverCached) {
 TEST(MemObsTest, ProfileReportsMemorySection) {
   obs::QueryProfile profile;
   profile.Begin("test", "mem", "profile-memory");
-  MemContext ctx(/*budget_bytes=*/0);
-  ScopedMemContext scoped(&ctx);
+  ExecContext ctx;
+  ScopedExecContext scoped(&ctx);
   {
     MemScope scope(MemSubsystem::kAutomata);
     MemCharge(4096);

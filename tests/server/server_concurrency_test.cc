@@ -36,6 +36,16 @@ std::string ErrorCode(const obs::JsonValue& response) {
   return error == nullptr ? "" : error->string_value();
 }
 
+// Polls the server until `predicate` holds (or ~2s elapse).
+template <typename Predicate>
+bool WaitFor(Predicate predicate) {
+  for (int i = 0; i < 400; ++i) {
+    if (predicate()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return false;
+}
+
 // One client's workload: a rotation over the request classes, each Call()
 // strictly matched on its echoed id.
 void MixedWorkload(uint16_t port, int64_t client_index, int requests,
@@ -114,6 +124,9 @@ TEST(ServerConcurrencyTest, Sustains64ConcurrentConnections) {
 
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(answered.load(), kClients * kRequestsPerClient);
+  // The clients have closed their sockets, but the server's reader threads
+  // see the closes asynchronously.
+  WaitFor([&] { return server.active_connections() == 0; });
   EXPECT_EQ(server.active_connections(), 0u);
   server.DrainAndWait();
 }
