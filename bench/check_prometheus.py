@@ -10,7 +10,8 @@ Checks, per file:
     (+Inf is legal only as a `le` label value); label values may carry
     the format's escapes (\\\\, \\", \\n) — any other backslash escape is
     a violation;
-  * every sample's family has a preceding `# TYPE` line;
+  * every sample's family has a preceding `# TYPE` line, and no family
+    is declared twice (the format allows one block per family);
   * `rq_` namespacing: every family name starts with "rq_";
   * histogram families (TYPE histogram) are coherent: `_bucket` cumulative
     counts are non-decreasing in `le` order, a `le="+Inf"` bucket exists,
@@ -79,6 +80,9 @@ def check_file(path):
                 if metric_type not in ("counter", "gauge", "histogram",
                                        "summary", "untyped"):
                     err(lineno, f"unknown TYPE {metric_type!r}")
+                if family in types:
+                    err(lineno, f"family {family!r} declared twice "
+                                f"(already TYPE {types[family]})")
                 types[family] = metric_type
             continue
 

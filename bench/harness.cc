@@ -59,8 +59,6 @@
 #include "obs/chrome_trace.h"
 #include "obs/counters.h"
 #include "obs/export.h"
-#include "obs/gauge.h"
-#include "obs/histogram.h"
 #include "obs/prometheus.h"
 #include "obs/trace.h"
 
@@ -192,8 +190,6 @@ int main(int argc, char** argv) {
 
   // Per-run deltas: the report should describe this invocation only.
   rq::obs::Registry::Global().ResetAll();
-  rq::obs::GaugeRegistry::Global().ResetAll();
-  rq::obs::HistogramRegistry::Global().ResetAll();
   // A Chrome trace needs full rows; --trace alone stays aggregate-only.
   rq::obs::SetTraceMode(!chrome_trace_path.empty()
                             ? rq::obs::TraceMode::kFull
@@ -220,14 +216,11 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     rq::obs::JsonValue report =
         ReportJson(Basename(argv[0]), smoke, cache, reporter.captured());
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
+    rq::Status status = rq::obs::WriteTextFile(json_path, report.Dump(2));
+    if (!status.ok()) {
+      std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
     }
-    std::string text = report.Dump(2);
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
   }
   if (!chrome_trace_path.empty()) {
     rq::Status status = rq::obs::WriteChromeTraceFile(chrome_trace_path);

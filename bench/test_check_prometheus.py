@@ -49,6 +49,14 @@ class CheckPrometheusTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1)
         self.assertIn("no preceding # TYPE", proc.stderr)
 
+    def test_family_declared_twice_fails(self):
+        # A counter and a gauge sharing one name would render two blocks
+        # for one family; the second TYPE must not silently win.
+        text = VALID + "# TYPE rq_fold_states gauge\nrq_fold_states 7\n"
+        proc = self.run_checker(text)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("declared twice", proc.stderr)
+
     def test_missing_rq_namespace_fails(self):
         proc = self.run_checker(
             "# TYPE other_total counter\nother_total 1\n")

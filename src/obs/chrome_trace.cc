@@ -1,10 +1,10 @@
 #include "obs/chrome_trace.h"
 
-#include <cstdio>
 #include <set>
 #include <string>
 #include <string_view>
 
+#include "obs/export.h"
 #include "obs/mem_stats.h"
 #include "obs/trace.h"
 
@@ -97,18 +97,7 @@ JsonValue ChromeTraceJson() {
 }
 
 Status WriteChromeTraceFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return InvalidArgumentError("cannot open " + path + " for writing");
-  }
-  std::string text = ChromeTraceJson().Dump(1);
-  text.push_back('\n');
-  size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (written != text.size()) {
-    return InternalError("short write to " + path);
-  }
-  return Status::Ok();
+  return WriteTextFile(path, ChromeTraceJson().Dump(1) + "\n");
 }
 
 }  // namespace obs

@@ -28,7 +28,7 @@ namespace obs {
 // The recorded spans as a Chrome trace-event JSON document.
 JsonValue ChromeTraceJson();
 
-// Writes ChromeTraceJson() to `path` (overwrites).
+// Writes ChromeTraceJson() to `path` via WriteTextFile (obs/export.h).
 Status WriteChromeTraceFile(const std::string& path);
 
 }  // namespace obs

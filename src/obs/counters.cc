@@ -8,22 +8,51 @@ Registry& Registry::Global() {
   return *instance;
 }
 
-Counter* Registry::GetCounter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(name);
-  if (it != counters_.end()) return it->second.get();
-  auto counter = std::unique_ptr<Counter>(new Counter(std::string(name)));
-  Counter* raw = counter.get();
-  counters_.emplace(std::string(name), std::move(counter));
-  return raw;
+template <typename Metric>
+Metric* Registry::Intern(Metrics<Metric>& metrics, std::string_view name) {
+  auto it = metrics.find(name);
+  if (it == metrics.end()) {
+    auto metric = std::unique_ptr<Metric>(new Metric(std::string(name)));
+    it = metrics.emplace(std::string(name), std::move(metric)).first;
+  }
+  return it->second.get();
 }
 
-std::vector<CounterSample> Registry::Snapshot() const {
+Counter* Registry::GetCounter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<CounterSample> out;
-  out.reserve(counters_.size());
+  return Intern(counters_, name);
+}
+
+Gauge* Registry::GetGauge(std::string_view name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return Intern(gauges_, name);
+}
+
+Histogram* Registry::GetHistogram(std::string_view name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return Intern(histograms_, name);
+}
+
+MetricsSnapshot Registry::Snapshot() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  MetricsSnapshot out;
+  out.counters.reserve(counters_.size());
   for (const auto& [name, counter] : counters_) {
-    out.push_back({name, counter->value()});
+    out.counters.push_back({name, counter->value()});
+  }
+  out.gauges.reserve(gauges_.size());
+  for (const auto& [name, gauge] : gauges_) {
+    int64_t value = gauge->value();
+    out.gauges.push_back({name, value, std::max(value, gauge->peak())});
+  }
+  out.histograms.reserve(histograms_.size());
+  for (const auto& [name, histogram] : histograms_) {
+    HistogramSample& sample = out.histograms.emplace_back();
+    sample.name = name;
+    sample.buckets = histogram->SnapshotBuckets();
+    for (uint64_t bucket : sample.buckets) sample.count += bucket;
+    sample.sum = histogram->sum();
+    sample.max = histogram->max();
   }
   return out;
 }
@@ -33,33 +62,45 @@ void Registry::ResetAll() {
   for (auto& [name, counter] : counters_) {
     counter->value_.store(0, std::memory_order_relaxed);
   }
+  for (auto& [name, gauge] : gauges_) gauge->Reset();
+  for (auto& [name, histogram] : histograms_) histogram->Reset();
 }
 
 Counter* GetCounter(std::string_view name) {
   return Registry::Global().GetCounter(name);
 }
 
-CounterDelta::CounterDelta() {
-  for (CounterSample& sample : Registry::Global().Snapshot()) {
-    baseline_.emplace(std::move(sample.name), sample.value);
-  }
+Gauge* GetGauge(std::string_view name) {
+  return Registry::Global().GetGauge(name);
 }
 
+Histogram* GetHistogram(std::string_view name) {
+  return Registry::Global().GetHistogram(name);
+}
+
+std::vector<CounterSample> CounterGrowth(
+    const std::vector<CounterSample>& before,
+    const std::vector<CounterSample>& after) {
+  std::vector<CounterSample> out;
+  for (const CounterSample& sample : after) {
+    const CounterSample* base = FindSample(before, sample.name);
+    uint64_t was = base != nullptr ? base->value : 0;
+    if (sample.value > was) out.push_back({sample.name, sample.value - was});
+  }
+  return out;
+}
+
+CounterDelta::CounterDelta()
+    : baseline_(Registry::Global().Snapshot().counters) {}
+
 uint64_t CounterDelta::Delta(std::string_view name) const {
-  uint64_t now = Registry::Global().GetCounter(name)->value();
-  auto it = baseline_.find(name);
-  uint64_t base = it == baseline_.end() ? 0 : it->second;
-  return now - base;
+  uint64_t now = GetCounter(name)->value();
+  const CounterSample* base = FindSample(baseline_, name);
+  return now - (base != nullptr ? base->value : 0);
 }
 
 std::vector<CounterSample> CounterDelta::Deltas() const {
-  std::vector<CounterSample> out;
-  for (CounterSample& sample : Registry::Global().Snapshot()) {
-    auto it = baseline_.find(sample.name);
-    uint64_t base = it == baseline_.end() ? 0 : it->second;
-    if (sample.value > base) out.push_back({sample.name, sample.value - base});
-  }
-  return out;
+  return CounterGrowth(baseline_, Registry::Global().Snapshot().counters);
 }
 
 }  // namespace obs

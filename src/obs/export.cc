@@ -3,8 +3,6 @@
 #include <cinttypes>
 
 #include "obs/counters.h"
-#include "obs/gauge.h"
-#include "obs/histogram.h"
 #include "obs/mem_stats.h"
 #include "obs/trace.h"
 
@@ -15,11 +13,12 @@ JsonValue SnapshotJson() {
   // Refresh the OS view (mem.peak_rss_bytes) so every snapshot carries a
   // current RSS sample next to the self-reported mem.* accounting.
   SampleRssGauge();
+  const MetricsSnapshot snapshot = Registry::Global().Snapshot();
   JsonValue root = JsonValue::Object();
   root.Set("schema", JsonValue::String("rq-obs/2"));
 
   JsonValue counters = JsonValue::Array();
-  for (const CounterSample& sample : Registry::Global().Snapshot()) {
+  for (const CounterSample& sample : snapshot.counters) {
     JsonValue entry = JsonValue::Object();
     entry.Set("name", JsonValue::String(sample.name));
     entry.Set("value", JsonValue::Number(sample.value));
@@ -28,7 +27,7 @@ JsonValue SnapshotJson() {
   root.Set("counters", std::move(counters));
 
   JsonValue gauges = JsonValue::Array();
-  for (const GaugeSample& sample : GaugeRegistry::Global().Snapshot()) {
+  for (const GaugeSample& sample : snapshot.gauges) {
     JsonValue entry = JsonValue::Object();
     entry.Set("name", JsonValue::String(sample.name));
     entry.Set("value", JsonValue::Number(sample.value));
@@ -38,16 +37,18 @@ JsonValue SnapshotJson() {
   root.Set("gauges", std::move(gauges));
 
   JsonValue histograms = JsonValue::Array();
-  for (const HistogramSample& sample :
-       HistogramRegistry::Global().Snapshot()) {
+  for (const HistogramSample& sample : snapshot.histograms) {
     JsonValue entry = JsonValue::Object();
     entry.Set("name", JsonValue::String(sample.name));
     entry.Set("count", JsonValue::Number(sample.count));
     entry.Set("sum", JsonValue::Number(sample.sum));
     entry.Set("max", JsonValue::Number(sample.max));
-    entry.Set("p50", JsonValue::Number(sample.p50));
-    entry.Set("p90", JsonValue::Number(sample.p90));
-    entry.Set("p99", JsonValue::Number(sample.p99));
+    entry.Set("p50", JsonValue::Number(
+                         Histogram::QuantileFromBuckets(sample.buckets, 0.50)));
+    entry.Set("p90", JsonValue::Number(
+                         Histogram::QuantileFromBuckets(sample.buckets, 0.90)));
+    entry.Set("p99", JsonValue::Number(
+                         Histogram::QuantileFromBuckets(sample.buckets, 0.99)));
     histograms.Append(std::move(entry));
   }
   root.Set("histograms", std::move(histograms));
@@ -91,18 +92,23 @@ JsonValue SnapshotJson() {
 
 std::string SnapshotJsonString() { return SnapshotJson().Dump(2); }
 
-Status WriteSnapshotJsonFile(const std::string& path) {
+Status WriteTextFile(const std::string& path, std::string_view text) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     return InvalidArgumentError("cannot open " + path + " for writing");
   }
-  std::string text = SnapshotJsonString();
   size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (written != text.size()) {
-    return InternalError("short write to " + path);
+  // A small output sits in the stdio buffer until fclose flushes it, so
+  // fclose is where a full device or I/O error shows up.
+  bool closed = std::fclose(f) == 0;
+  if (written != text.size() || !closed) {
+    return InternalError("failed to write " + path);
   }
   return Status::Ok();
+}
+
+Status WriteSnapshotJsonFile(const std::string& path) {
+  return WriteTextFile(path, SnapshotJsonString());
 }
 
 void PrintSpanTree(std::FILE* out) {
@@ -147,14 +153,15 @@ void PrintSpanTree(std::FILE* out) {
                    static_cast<double>(stats.max_ns) / 1e6);
     }
   }
+  const MetricsSnapshot snapshot = Registry::Global().Snapshot();
   std::fprintf(out, "counters:\n");
-  for (const CounterSample& sample : Registry::Global().Snapshot()) {
+  for (const CounterSample& sample : snapshot.counters) {
     if (sample.value == 0) continue;
     std::fprintf(out, "  %s = %" PRIu64 "\n", sample.name.c_str(),
                  sample.value);
   }
   bool gauge_header = false;
-  for (const GaugeSample& sample : GaugeRegistry::Global().Snapshot()) {
+  for (const GaugeSample& sample : snapshot.gauges) {
     if (sample.value == 0 && sample.peak == 0) continue;
     if (!gauge_header) {
       std::fprintf(out, "gauges:\n");
@@ -164,8 +171,7 @@ void PrintSpanTree(std::FILE* out) {
                  sample.name.c_str(), sample.value, sample.peak);
   }
   bool histogram_header = false;
-  for (const HistogramSample& sample :
-       HistogramRegistry::Global().Snapshot()) {
+  for (const HistogramSample& sample : snapshot.histograms) {
     if (sample.count == 0) continue;
     if (!histogram_header) {
       std::fprintf(out, "histograms:\n");
@@ -174,8 +180,11 @@ void PrintSpanTree(std::FILE* out) {
     std::fprintf(out,
                  "  %s  count=%" PRIu64 "  p50=%" PRIu64 "  p90=%" PRIu64
                  "  p99=%" PRIu64 "  max=%" PRIu64 "\n",
-                 sample.name.c_str(), sample.count, sample.p50, sample.p90,
-                 sample.p99, sample.max);
+                 sample.name.c_str(), sample.count,
+                 Histogram::QuantileFromBuckets(sample.buckets, 0.50),
+                 Histogram::QuantileFromBuckets(sample.buckets, 0.90),
+                 Histogram::QuantileFromBuckets(sample.buckets, 0.99),
+                 sample.max);
   }
 }
 

@@ -1,5 +1,7 @@
-// JSON export of the observability state (schema "rq-obs/2") and the
-// human-readable span tree used by `rqcheck --trace` / `rqeval --trace`.
+// JSON export of the observability state (schema "rq-obs/2"), the
+// human-readable span tree used by `rqcheck --trace` / `rqeval --trace`,
+// and the file writer every exporter shares. The counters, gauges and
+// histograms sections come from one registry snapshot (obs/counters.h).
 //
 // Snapshot schema (stable; see docs/OBSERVABILITY.md):
 //
@@ -28,6 +30,7 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "obs/json.h"
@@ -41,7 +44,12 @@ JsonValue SnapshotJson();
 // Serialized snapshot (pretty-printed, trailing newline).
 std::string SnapshotJsonString();
 
-// Writes the snapshot to `path` (overwrites).
+// Writes `text` to `path` (overwrites). Fails if the file cannot be
+// opened, written or closed, so an error that only surfaces when the
+// buffered output is flushed is still reported.
+Status WriteTextFile(const std::string& path, std::string_view text);
+
+// Writes the snapshot to `path` via WriteTextFile.
 Status WriteSnapshotJsonFile(const std::string& path);
 
 // Prints the recorded spans as an indented tree with durations and attrs,

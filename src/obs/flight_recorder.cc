@@ -8,7 +8,7 @@
 #include <cstring>
 
 #include "common/deadline.h"
-#include "obs/counters.h"
+#include "obs/subsystems.h"
 
 #if !defined(_WIN32)
 #include <signal.h>
@@ -25,13 +25,6 @@ uint64_t SteadyNowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-// Summaries lost to the ring: evicted oldest entries plus the (pathological,
-// lapped-writer) case where a new summary loses the slot's seqlock tag.
-Counter& FlightDroppedCounter() {
-  static Counter* counter = GetCounter("obs.flight_dropped");
-  return *counter;
 }
 
 uint64_t PackKindVerdict(QueryKind kind, int32_t verdict) {
@@ -171,9 +164,11 @@ void FlightRecorder::Record(QueryKind kind, int32_t verdict,
   if ((cur & 1) != 0 ||
       !slot.tag.compare_exchange_strong(cur, odd,
                                         std::memory_order_relaxed)) {
-    FlightDroppedCounter().Increment();
+    ObsCounters::Get().flight_dropped.Increment();
   } else {
-    if (cur != 0) FlightDroppedCounter().Increment();  // evicted oldest
+    if (cur != 0) {
+      ObsCounters::Get().flight_dropped.Increment();  // evicted oldest
+    }
     // The release fence orders the odd tag before the field stores; the
     // closing release store orders the fields before the even tag. Readers
     // pair with acquire loads/fences (Snapshot, DumpToFd).
@@ -362,7 +357,7 @@ Status WriteFlightDump(const std::string& path) {
                "== rq flight recorder: %" PRIu64
                " queries recorded, %zu in ring, %" PRIu64 " dropped\n",
                recorder.TotalRecorded(), entries.size(),
-               GetCounter("obs.flight_dropped")->value());
+               ObsCounters::Get().flight_dropped.value());
   for (const FlightEntry& entry : entries) {
     std::fprintf(f,
                  "seq=%" PRIu64
@@ -386,7 +381,13 @@ Status WriteFlightDump(const std::string& path) {
                  entry.label.empty() ? "" : " label=",
                  entry.label.c_str());
   }
-  if (f != stderr) std::fclose(f);
+  // ferror catches a failed fprintf; fclose (or fflush for stderr, which
+  // stays open) catches a failure that surfaces only at the final flush.
+  bool write_failed = std::ferror(f) != 0;
+  bool flush_failed = (f == stderr ? std::fflush(f) : std::fclose(f)) != 0;
+  if (write_failed || flush_failed) {
+    return InternalError("failed to write flight dump to " + path);
+  }
   return Status::Ok();
 }
 
@@ -405,10 +406,10 @@ void FlightSignalHandler(int sig) {
 }  // namespace
 
 void InstallFlightSignalHandler() {
-  // Force the recorder (and the dropped counter) into existence outside
+  // Force the recorder (and the obs.* counters) into existence outside
   // signal context.
   FlightRecorder::Global();
-  FlightDroppedCounter();
+  ObsCounters::Get();
   struct sigaction action;
   std::memset(&action, 0, sizeof(action));
   action.sa_handler = FlightSignalHandler;

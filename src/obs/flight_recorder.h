@@ -211,7 +211,8 @@ class FlightTimer {
 // attached to subsequent slow-query log entries; empty clears it.
 void SetFlightQueryLabel(std::string label);
 
-// Human-readable dump of ring + slow log; path "-" writes to stderr.
+// Human-readable dump of ring + slow log; path "-" writes to stderr (and
+// leaves it open). Fails if any write, the final flush or the close fails.
 Status WriteFlightDump(const std::string& path);
 
 // Installs fatal-signal handlers (SIGSEGV, SIGBUS, SIGFPE, SIGILL,

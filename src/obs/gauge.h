@@ -10,20 +10,17 @@
 // atomics plus a CAS-max, so gauges are safe from any thread and follow
 // the flush-per-operation discipline of obs/counters.h.
 //
-// Naming scheme: `<subsystem>.<noun>` like counters, e.g.
-// `fold.peak_states`, `cache.bytes_in_use`. Registered gauges live for
-// the process lifetime; handles are stable pointers.
+// Gauges are interned by the one metric registry (obs::Registry and the
+// GetGauge shorthand in obs/counters.h), named `<subsystem>.<noun>` like
+// counters, e.g. `fold.peak_states`, `cache.bytes_in_use`. Registered
+// gauges live for the process lifetime; handles are stable pointers.
 #ifndef RQ_OBS_GAUGE_H_
 #define RQ_OBS_GAUGE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <string_view>
-#include <vector>
+#include <utility>
 
 namespace rq {
 namespace obs {
@@ -55,7 +52,7 @@ class Gauge {
   }
 
  private:
-  friend class GaugeRegistry;
+  friend class Registry;
   explicit Gauge(std::string name) : name_(std::move(name)) {}
   Gauge(const Gauge&) = delete;
   Gauge& operator=(const Gauge&) = delete;
@@ -72,35 +69,6 @@ class Gauge {
   std::atomic<int64_t> value_{0};
   std::atomic<int64_t> peak_{0};
 };
-
-struct GaugeSample {
-  std::string name;
-  int64_t value = 0;
-  int64_t peak = 0;
-};
-
-// Process-wide gauge registry, mirroring the counter registry.
-class GaugeRegistry {
- public:
-  static GaugeRegistry& Global();
-
-  Gauge* GetGauge(std::string_view name);
-
-  // Name-sorted snapshot of all registered gauges.
-  std::vector<GaugeSample> Snapshot() const;
-
-  // Zeroes every gauge; gauges stay registered.
-  void ResetAll();
-
- private:
-  GaugeRegistry() = default;
-
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-};
-
-// Shorthand for GaugeRegistry::Global().GetGauge(name).
-Gauge* GetGauge(std::string_view name);
 
 }  // namespace obs
 }  // namespace rq

@@ -62,66 +62,5 @@ void Histogram::Reset() {
   max_.store(0, std::memory_order_relaxed);
 }
 
-HistogramRegistry& HistogramRegistry::Global() {
-  static HistogramRegistry* registry = new HistogramRegistry();
-  return *registry;
-}
-
-Histogram* HistogramRegistry::GetHistogram(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    std::string key(name);
-    auto histogram =
-        std::unique_ptr<Histogram>(new Histogram(std::string(name)));
-    it = histograms_.emplace(std::move(key), std::move(histogram)).first;
-  }
-  return it->second.get();
-}
-
-std::vector<HistogramSample> HistogramRegistry::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<HistogramSample> out;
-  out.reserve(histograms_.size());
-  for (const auto& [name, histogram] : histograms_) {
-    HistogramSample sample;
-    sample.name = name;
-    sample.count = histogram->count();
-    sample.sum = histogram->sum();
-    sample.max = histogram->max();
-    sample.p50 = histogram->ValueAtQuantile(0.50);
-    sample.p90 = histogram->ValueAtQuantile(0.90);
-    sample.p99 = histogram->ValueAtQuantile(0.99);
-    out.push_back(std::move(sample));
-  }
-  return out;
-}
-
-std::vector<HistogramBucketsSample> HistogramRegistry::SnapshotBuckets()
-    const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<HistogramBucketsSample> out;
-  out.reserve(histograms_.size());
-  for (const auto& [name, histogram] : histograms_) {
-    HistogramBucketsSample sample;
-    sample.name = name;
-    sample.count = histogram->count();
-    sample.sum = histogram->sum();
-    sample.max = histogram->max();
-    sample.buckets = histogram->SnapshotBuckets();
-    out.push_back(std::move(sample));
-  }
-  return out;
-}
-
-void HistogramRegistry::ResetAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, histogram] : histograms_) histogram->Reset();
-}
-
-Histogram* GetHistogram(std::string_view name) {
-  return HistogramRegistry::Global().GetHistogram(name);
-}
-
 }  // namespace obs
 }  // namespace rq

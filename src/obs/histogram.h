@@ -15,10 +15,12 @@
 // values on bucket boundaries (powers of two and their quarter points),
 // and an underestimate by < 25% otherwise. The maximum is tracked exactly.
 //
-// Like counters, named histograms live forever in a process-wide registry
-// (`<subsystem>.<noun>` naming, typically sharing the name of the counter
-// whose per-operation distribution they record). Standalone instances can
-// also be constructed directly (the span tracer owns one per span name for
+// Like counters, named histograms live forever in the one metric registry
+// (obs::Registry and the GetHistogram shorthand in obs/counters.h;
+// `<subsystem>.<noun>` naming, typically sharing the name of the counter
+// whose per-operation distribution they record). Registry snapshots carry
+// each histogram's raw buckets. Standalone instances can also be
+// constructed directly (the span tracer owns one per span name for
 // duration distributions; see obs/trace.h).
 #ifndef RQ_OBS_HISTOGRAM_H_
 #define RQ_OBS_HISTOGRAM_H_
@@ -27,12 +29,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <string_view>
-#include <vector>
+#include <utility>
 
 namespace rq {
 namespace obs {
@@ -72,10 +70,11 @@ class Histogram {
   // exact maximum for q >= 1. q outside [0, 1] is clamped.
   uint64_t ValueAtQuantile(double q) const;
 
-  // Relaxed copy of the raw per-bucket counts. This is the substrate both
-  // for windowed quantiles (obs/profile.h diffs two snapshots) and for the
-  // Prometheus cumulative-bucket rendering (obs/prometheus.h maps bucket
-  // index i to the inclusive upper bound BucketLowerBound(i + 1) - 1).
+  // Relaxed copy of the raw per-bucket counts. This is the substrate of
+  // registry snapshots (obs/counters.h), which feed both windowed
+  // quantiles (obs/profile.h diffs two snapshots) and the Prometheus
+  // cumulative-bucket rendering (obs/prometheus.h maps bucket index i to
+  // the inclusive upper bound BucketLowerBound(i + 1) - 1).
   std::array<uint64_t, kNumBuckets> SnapshotBuckets() const;
 
   // Quantile extraction over an externally held bucket snapshot (same
@@ -100,56 +99,6 @@ class Histogram {
   std::atomic<uint64_t> max_{0};
   std::array<std::atomic<uint64_t>, kNumBuckets> buckets_{};
 };
-
-// Snapshot row for export (export.h, schema rq-obs/2).
-struct HistogramSample {
-  std::string name;
-  uint64_t count = 0;
-  uint64_t sum = 0;
-  uint64_t max = 0;
-  uint64_t p50 = 0;
-  uint64_t p90 = 0;
-  uint64_t p99 = 0;
-};
-
-// Full-resolution snapshot row: summary plus the raw bucket counts
-// (obs/profile.h windows, obs/prometheus.h cumulative buckets).
-struct HistogramBucketsSample {
-  std::string name;
-  uint64_t count = 0;
-  uint64_t sum = 0;
-  uint64_t max = 0;
-  std::array<uint64_t, Histogram::kNumBuckets> buckets{};
-};
-
-// Process-wide histogram registry, mirroring the counter registry: lookup
-// takes a lock and interns the name; callers cache the stable handle.
-class HistogramRegistry {
- public:
-  static HistogramRegistry& Global();
-
-  Histogram* GetHistogram(std::string_view name);
-
-  // Name-sorted snapshot with quantiles extracted.
-  std::vector<HistogramSample> Snapshot() const;
-
-  // Name-sorted snapshot carrying the raw buckets.
-  std::vector<HistogramBucketsSample> SnapshotBuckets() const;
-
-  // Resets every histogram (per-run bench deltas; histograms themselves
-  // stay registered).
-  void ResetAll();
-
- private:
-  HistogramRegistry() = default;
-
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>>
-      histograms_;
-};
-
-// Shorthand for HistogramRegistry::Global().GetHistogram(name).
-Histogram* GetHistogram(std::string_view name);
 
 }  // namespace obs
 }  // namespace rq

@@ -11,8 +11,6 @@
 
 #include "common/mem.h"
 #include "obs/counters.h"
-#include "obs/gauge.h"
-#include "obs/histogram.h"
 
 namespace rq {
 namespace obs {

@@ -7,7 +7,6 @@
 
 #include "common/deadline.h"
 #include "obs/counters.h"
-#include "obs/gauge.h"
 #include "obs/mem_stats.h"
 #include "obs/trace.h"
 
@@ -50,20 +49,7 @@ void QueryProfile::Begin(std::string tool, std::string query_class,
   query_class_ = std::move(query_class);
   query_text_ = std::move(query_text);
 
-  for (const CounterSample& sample : Registry::Global().Snapshot()) {
-    counter_baseline_[sample.name] = sample.value;
-  }
-  for (const HistogramBucketsSample& sample :
-       HistogramRegistry::Global().SnapshotBuckets()) {
-    HistogramBaseline baseline;
-    baseline.count = sample.count;
-    baseline.sum = sample.sum;
-    baseline.buckets = sample.buckets;
-    histogram_baseline_[sample.name] = baseline;
-  }
-  for (const GaugeSample& sample : GaugeRegistry::Global().Snapshot()) {
-    gauge_baseline_[sample.name] = {sample.value, sample.peak};
-  }
+  metrics_baseline_ = Registry::Global().Snapshot();
   if (CurrentTraceMode() != TraceMode::kDisabled) {
     for (const SpanStats& stats : CollectSpanStats()) {
       span_baseline_[stats.name] = {stats.count, stats.total_ns};
@@ -78,8 +64,8 @@ void QueryProfile::End() {
 
   // Per-query memory attribution from the installed context (peaks, not
   // live levels: transient scopes have already released by now). Sampled
-  // before the gauge snapshot below so mem.peak_rss_bytes is fresh in the
-  // window.
+  // before the registry snapshot below so mem.peak_rss_bytes is fresh in
+  // the window.
   if (const ExecContext* ctx = ExecContext::Current(); ctx != nullptr) {
     memory_.present = true;
     memory_.peak_total_bytes = ctx->peak_total_bytes();
@@ -91,19 +77,17 @@ void QueryProfile::End() {
     }
   }
   SampleRssGauge();
+  const MetricsSnapshot end = Registry::Global().Snapshot();
 
-  for (const CounterSample& sample : Registry::Global().Snapshot()) {
-    auto it = counter_baseline_.find(sample.name);
-    uint64_t before = it != counter_baseline_.end() ? it->second : 0;
-    if (sample.value > before) {
-      counters_.push_back({sample.name, sample.value - before});
-    }
+  for (CounterSample& growth :
+       CounterGrowth(metrics_baseline_.counters, end.counters)) {
+    counters_.push_back({std::move(growth.name), growth.value});
   }
-  for (const HistogramBucketsSample& sample :
-       HistogramRegistry::Global().SnapshotBuckets()) {
-    auto it = histogram_baseline_.find(sample.name);
-    HistogramBaseline before =
-        it != histogram_baseline_.end() ? it->second : HistogramBaseline{};
+  const HistogramSample unregistered;
+  for (const HistogramSample& sample : end.histograms) {
+    const HistogramSample* found =
+        FindSample(metrics_baseline_.histograms, sample.name);
+    const HistogramSample& before = found != nullptr ? *found : unregistered;
     if (sample.count <= before.count) continue;
     ProfileHistogramDelta delta;
     delta.name = sample.name;
@@ -121,10 +105,10 @@ void QueryProfile::End() {
     delta.max = Histogram::BucketLowerBound(highest);
     histograms_.push_back(std::move(delta));
   }
-  for (const GaugeSample& sample : GaugeRegistry::Global().Snapshot()) {
-    auto it = gauge_baseline_.find(sample.name);
-    GaugeBaseline before =
-        it != gauge_baseline_.end() ? it->second : GaugeBaseline{};
+  for (const GaugeSample& sample : end.gauges) {
+    const GaugeSample* found =
+        FindSample(metrics_baseline_.gauges, sample.name);
+    const GaugeSample before = found != nullptr ? *found : GaugeSample{};
     bool peak_raised = sample.peak > before.peak;
     if (sample.value == before.value && !peak_raised) continue;
     ProfileGaugeDelta delta;

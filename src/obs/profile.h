@@ -2,9 +2,9 @@
 // check or evaluation and renders an EXPLAIN ANALYZE-style report (text and
 // JSON, schema "rq-profile/1"; see docs/OBSERVABILITY.md).
 //
-// The global registries (obs/counters.h, obs/gauge.h, obs/histogram.h) and
-// the span tracer accumulate process-wide. A QueryProfile snapshots all of
-// them when the profiled operation begins and again when it ends, and
+// The metric registry (obs/counters.h) and the span tracer accumulate
+// process-wide. A QueryProfile takes one registry snapshot (and the span
+// stats) when the profiled operation begins and again when it ends, and
 // reports the WINDOW: counter deltas, per-name span-stat deltas, windowed
 // histogram distributions (quantiles recomputed from raw bucket
 // differences, so a profiled query's p50/p99 are its own, not the process
@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "common/mem.h"
-#include "obs/histogram.h"
+#include "obs/counters.h"
 #include "obs/json.h"
 
 namespace rq {
@@ -160,15 +160,6 @@ class QueryProfile {
   std::string ToText() const;  // EXPLAIN ANALYZE-style, for --profile
 
  private:
-  struct HistogramBaseline {
-    uint64_t count = 0;
-    uint64_t sum = 0;
-    std::array<uint64_t, Histogram::kNumBuckets> buckets{};
-  };
-  struct GaugeBaseline {
-    int64_t value = 0;
-    int64_t peak = 0;
-  };
   struct SpanBaseline {
     uint64_t count = 0;
     uint64_t total_ns = 0;
@@ -184,9 +175,7 @@ class QueryProfile {
   bool collected_ = false;
 
   // Begin snapshots.
-  std::map<std::string, uint64_t> counter_baseline_;
-  std::map<std::string, HistogramBaseline> histogram_baseline_;
-  std::map<std::string, GaugeBaseline> gauge_baseline_;
+  MetricsSnapshot metrics_baseline_;
   std::map<std::string, SpanBaseline> span_baseline_;
 
   // Results.

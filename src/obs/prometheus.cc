@@ -5,9 +5,8 @@
 #include <cstdio>
 
 #include "obs/counters.h"
+#include "obs/export.h"
 #include "obs/flight_recorder.h"
-#include "obs/gauge.h"
-#include "obs/histogram.h"
 #include "obs/mem_stats.h"
 
 namespace rq {
@@ -104,6 +103,7 @@ std::string RenderPrometheusText() {
   // Refresh the OS view so every scrape carries a current RSS sample next
   // to the self-reported mem.* accounting (obs/mem_stats.h).
   SampleRssGauge();
+  const MetricsSnapshot snapshot = Registry::Global().Snapshot();
   std::string out;
 
   // The flight recorder's ticket total is not a registry counter (it lives
@@ -127,14 +127,14 @@ std::string RenderPrometheusText() {
                "{query=\"" + PrometheusEscapeLabelValue(label) + "\"}", 1);
   }
 
-  for (const CounterSample& sample : Registry::Global().Snapshot()) {
+  for (const CounterSample& sample : snapshot.counters) {
     std::string name = PrometheusMetricName(sample.name);
     AppendHelp(&out, name, sample.name);
     AppendType(&out, name, "counter");
     AppendLine(&out, name, "", "", sample.value);
   }
 
-  for (const GaugeSample& sample : GaugeRegistry::Global().Snapshot()) {
+  for (const GaugeSample& sample : snapshot.gauges) {
     std::string name = PrometheusMetricName(sample.name);
     AppendHelp(&out, name, sample.name);
     AppendType(&out, name, "gauge");
@@ -148,8 +148,7 @@ std::string RenderPrometheusText() {
                sample.peak > 0 ? static_cast<uint64_t>(sample.peak) : 0);
   }
 
-  for (const HistogramBucketsSample& sample :
-       HistogramRegistry::Global().SnapshotBuckets()) {
+  for (const HistogramSample& sample : snapshot.histograms) {
     std::string name = PrometheusMetricName(sample.name) + "_dist";
     AppendHelp(&out, name, sample.name);
     AppendType(&out, name, "histogram");
@@ -172,17 +171,7 @@ std::string RenderPrometheusText() {
 }
 
 Status WritePrometheusTextFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return InvalidArgumentError("cannot open " + path + " for writing");
-  }
-  std::string text = RenderPrometheusText();
-  size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (written != text.size()) {
-    return InternalError("short write to " + path);
-  }
-  return Status::Ok();
+  return WriteTextFile(path, RenderPrometheusText());
 }
 
 }  // namespace obs

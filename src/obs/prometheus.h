@@ -1,9 +1,10 @@
-// Prometheus text-exposition rendering of the observability registries
+// Prometheus text-exposition rendering of the metric registry
 // (exposition format version 0.0.4; the scrape-format sibling of the
 // rq-obs/2 JSON export in obs/export.h — see docs/OBSERVABILITY.md).
 //
-// Every registered counter, gauge, and histogram is rendered with the
-// metric name sanitized to [a-zA-Z0-9_:] and namespaced `rq_`
+// Every registered counter, gauge, and histogram is rendered from one
+// registry snapshot (obs/counters.h), with the metric name sanitized to
+// [a-zA-Z0-9_:] and namespaced `rq_`
 // (`containment.states_explored` -> `rq_containment_states_explored`):
 //
 //  * counters  -> `# TYPE rq_<name> counter` + one sample;
@@ -20,6 +21,9 @@
 //    rendering emits one cumulative line per OCCUPIED bucket plus the
 //    mandatory `le="+Inf"` (equal to `_count`), keeping the output sparse
 //    while preserving exact cumulative semantics for integer samples.
+//    The snapshot's count is the sum of its buckets, so a render racing
+//    Record() never puts a finite bucket above `+Inf`, and its gauge
+//    peaks are never below their levels.
 //
 // Every family carries a `# HELP` line holding the original dotted
 // registry name (escaped per the format: `\\` and `\n`), so a scrape can
@@ -30,9 +34,9 @@
 // (`\\`, `\"`, `\n`) — query text is arbitrary and may contain
 // backslashes or quotes.
 //
-// Also exported: `rq_flight_recorded_total` / the `obs.flight_dropped`
-// counter (flight recorder pressure) arrive through the counter registry
-// like everything else.
+// Also exported: `rq_flight_recorded_total` (the recorder's ticket total,
+// not a registry counter) next to the `obs.flight_dropped` counter, which
+// arrives through the registry like everything else.
 //
 // Surfaced as `--prometheus <path>` on rqcheck, rqeval, and the bench
 // harness; bench/run_all.sh --smoke validates the emission with
@@ -63,7 +67,7 @@ std::string PrometheusEscapeHelp(std::string_view text);
 // The full exposition document (counters, gauges, histograms).
 std::string RenderPrometheusText();
 
-// Writes the exposition to `path` (overwrites).
+// Writes the exposition to `path` via WriteTextFile (obs/export.h).
 Status WritePrometheusTextFile(const std::string& path);
 
 }  // namespace obs

@@ -1,34 +1,20 @@
-// Typed views over the observability registry: one struct per instrumented
-// subsystem, each member a cached handle to a registered counter. These
-// define the unified counter vocabulary (`<subsystem>.<noun>`) that replaces
-// the previously divergent per-module stats fields:
+// Typed views over the metric registry (obs/counters.h): one struct per
+// instrumented subsystem, each member a cached handle to a registered
+// counter, histogram or gauge. Together they define the metric vocabulary
+// (`<subsystem>.<noun>`; full list in docs/OBSERVABILITY.md).
 //
-//   legacy field / bench counter            unified counter
-//   ------------------------------------    --------------------------------
-//   LanguageContainmentResult::             containment.states_explored
-//       explored_states
-//   PathContainmentResult::explored_states  containment.states_explored
-//   bench "states/bound" (fold size)        fold.states
-//   DatalogEvalStats::rounds                datalog.rounds
-//   DatalogEvalStats::rule_applications     datalog.rule_applications
-//   DatalogEvalStats::tuples_considered     datalog.tuples_considered
-//   DatalogEvalStats::tuples_derived        datalog.tuples_derived
-//
-// The legacy structs remain as thin adapters (same fields, same call
-// signatures); the subsystems fill both. Hot loops accumulate into locals
-// and flush here once per operation, so registry traffic is O(operations),
-// not O(inner-loop steps). Full vocabulary: docs/OBSERVABILITY.md.
-//
-// Alongside the counters (monotonic totals), subsystems flush per-operation
-// DISTRIBUTIONS into value histograms (obs/histogram.h) — a histogram
-// sharing a counter's name records that quantity per operation rather than
-// in total — and PEAKS into max-tracking gauges (obs/gauge.h).
+// Hot loops accumulate into locals and flush here once per operation, so
+// registry traffic is O(operations), not O(inner-loop steps). Counters
+// hold process-wide totals; a histogram sharing a counter's name records
+// that quantity per operation (its DISTRIBUTION), and gauges hold a level
+// with its PEAK. Per-call results such as
+// LanguageContainmentResult::explored_states and DatalogEvalStats are not
+// views of these totals: the verdict cache, the flight recorder's `work`
+// field and concurrent callers each need the figure of one call.
 #ifndef RQ_OBS_SUBSYSTEMS_H_
 #define RQ_OBS_SUBSYSTEMS_H_
 
 #include "obs/counters.h"
-#include "obs/gauge.h"
-#include "obs/histogram.h"
 
 namespace rq {
 namespace obs {

@@ -6,8 +6,8 @@
 #include <memory>
 #include <mutex>
 
-#include "obs/counters.h"
 #include "obs/histogram.h"
+#include "obs/subsystems.h"
 
 namespace rq {
 namespace obs {
@@ -49,11 +49,6 @@ struct TraceState {
 TraceState& State() {
   static TraceState* state = new TraceState();  // never destroyed
   return *state;
-}
-
-Counter& DroppedCounter() {
-  static Counter* counter = GetCounter("obs.dropped_spans");
-  return *counter;
 }
 
 // Per-thread stack of open span record indices (-1 for aggregate-only
@@ -185,7 +180,7 @@ void ScopedSpan::Begin(const char* name) {
       state.records.push_back(std::move(record));
     } else {
       ++state.dropped;
-      DroppedCounter().Increment();
+      ObsCounters::Get().dropped_spans.Increment();
     }
   } else {
     SyncThreadToSession(state, stack, &generation_);

@@ -1,21 +1,28 @@
 // Concurrency tests for the observability layer (the `tsan`/`obsv2` ctest
 // labels run this binary under ThreadSanitizer): histogram and gauge
-// totals under contention, and the per-thread span attribution regression
-// — a multi-worker containment batch in full trace mode must never link a
-// span to a parent recorded by a different thread.
+// totals under contention, exports that stay valid while writers race
+// them, and the per-thread span attribution regression — a multi-worker
+// containment batch in full trace mode must never link a span to a parent
+// recorded by a different thread.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "automata/alphabet.h"
 #include "common/rng.h"
 #include "containment/batch.h"
+#include "obs/counters.h"
+#include "obs/export.h"
 #include "obs/gauge.h"
 #include "obs/histogram.h"
+#include "obs/prometheus.h"
 #include "obs/subsystems.h"
 #include "obs/trace.h"
 #include "regex/regex.h"
@@ -62,6 +69,78 @@ TEST(ObsConcurrencyTest, GaugeConcurrentAddSubBalancesToZero) {
   EXPECT_EQ(g->value(), 0);
   EXPECT_GE(g->peak(), 1);
   EXPECT_LE(g->peak(), kThreads);
+}
+
+// Every sample line of a Prometheus exposition, keyed by name plus labels.
+std::map<std::string, uint64_t> ParseSamples(const std::string& text) {
+  std::map<std::string, uint64_t> samples;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    size_t space = line.rfind(' ');
+    samples[line.substr(0, space)] = std::stoull(line.substr(space + 1));
+  }
+  return samples;
+}
+
+// A scrape that races live writers must still publish a valid exposition:
+// no finite cumulative bucket above the `le="+Inf"` bucket, that bucket
+// equal to `_count`, and no gauge level above its peak, in the Prometheus
+// render and in the rq-obs/2 snapshot alike.
+TEST(ObsConcurrencyTest, ExportsStayValidWhileWritersRace) {
+  constexpr int kWriters = 3;
+  constexpr int kRounds = 200;
+  obs::Histogram* hist = obs::GetHistogram("test.racing_histogram");
+  obs::Gauge* gauge = obs::GetGauge("test.racing_gauge");
+  const std::string family = "rq_test_racing_histogram_dist";
+  const std::string bucket_prefix = family + "_bucket{le=\"";
+  const std::string inf_key = bucket_prefix + "+Inf\"}";
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&stop, hist, gauge, t] {
+      for (uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        hist->Record((i * 37 + static_cast<uint64_t>(t)) % 4096);
+        gauge->Add(1);
+      }
+    });
+  }
+
+  int bucket_above_inf = 0;
+  int inf_not_count = 0;
+  int level_above_peak = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::map<std::string, uint64_t> samples =
+        ParseSamples(obs::RenderPrometheusText());
+    uint64_t inf = samples.at(inf_key);
+    for (auto it = samples.lower_bound(bucket_prefix);
+         it != samples.end() && it->first.rfind(bucket_prefix, 0) == 0;
+         ++it) {
+      if (it->second > inf) ++bucket_above_inf;
+    }
+    if (inf != samples.at(family + "_count")) ++inf_not_count;
+    if (samples.at("rq_test_racing_gauge") >
+        samples.at("rq_test_racing_gauge_peak")) {
+      ++level_above_peak;
+    }
+
+    obs::JsonValue snapshot = obs::SnapshotJson();
+    for (const obs::JsonValue& entry : snapshot.Find("gauges")->items()) {
+      if (entry.Find("name")->string_value() != "test.racing_gauge") continue;
+      if (entry.Find("value")->number_value() >
+          entry.Find("peak")->number_value()) {
+        ++level_above_peak;
+      }
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& writer : writers) writer.join();
+
+  EXPECT_EQ(bucket_above_inf, 0);
+  EXPECT_EQ(inf_not_count, 0);
+  EXPECT_EQ(level_above_peak, 0);
 }
 
 constexpr uint32_t kNumSymbols = 3;

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "obs/counters.h"
+
 namespace rq {
 namespace obs {
 namespace {
@@ -58,7 +60,7 @@ TEST(GaugeTest, RegistryInternsAndSnapshots) {
   g->Set(2);
 
   bool found = false;
-  std::vector<GaugeSample> snapshot = GaugeRegistry::Global().Snapshot();
+  std::vector<GaugeSample> snapshot = Registry::Global().Snapshot().gauges;
   for (size_t i = 1; i < snapshot.size(); ++i) {
     EXPECT_LT(snapshot[i - 1].name, snapshot[i].name);  // name-sorted
   }

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/counters.h"
+
 namespace rq {
 namespace obs {
 namespace {
@@ -125,7 +127,7 @@ TEST(HistogramTest, RegistryInternsAndSnapshots) {
 
   bool found = false;
   std::vector<HistogramSample> snapshot =
-      HistogramRegistry::Global().Snapshot();
+      Registry::Global().Snapshot().histograms;
   for (size_t i = 1; i < snapshot.size(); ++i) {
     EXPECT_LT(snapshot[i - 1].name, snapshot[i].name);  // name-sorted
   }
@@ -135,8 +137,8 @@ TEST(HistogramTest, RegistryInternsAndSnapshots) {
     EXPECT_EQ(s.count, 2u);
     EXPECT_EQ(s.sum, 8u);
     EXPECT_EQ(s.max, 5u);
-    EXPECT_EQ(s.p50, 3u);
-    EXPECT_EQ(s.p99, 5u);
+    EXPECT_EQ(Histogram::QuantileFromBuckets(s.buckets, 0.50), 3u);
+    EXPECT_EQ(Histogram::QuantileFromBuckets(s.buckets, 0.99), 5u);
   }
   EXPECT_TRUE(found);
 }

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
+#include "obs/chrome_trace.h"
 #include "obs/counters.h"
 #include "obs/export.h"
+#include "obs/flight_recorder.h"
 #include "obs/gauge.h"
 #include "obs/histogram.h"
+#include "obs/prometheus.h"
 
 namespace rq {
 namespace obs {
@@ -58,7 +63,7 @@ TEST(JsonTest, SnapshotExportRoundTrips) {
   // Every registered counter appears, name-sorted, with its exact value.
   const JsonValue* counters = parsed->Find("counters");
   ASSERT_NE(counters, nullptr);
-  std::vector<CounterSample> expected = Registry::Global().Snapshot();
+  std::vector<CounterSample> expected = Registry::Global().Snapshot().counters;
   ASSERT_EQ(counters->items().size(), expected.size());
   bool found = false;
   for (size_t i = 0; i < expected.size(); ++i) {
@@ -111,6 +116,16 @@ TEST(JsonTest, SnapshotExportsGaugesAndHistograms) {
     EXPECT_EQ(entry.Find("p99")->uint_value(), 1024u);
   }
   EXPECT_TRUE(histogram_found);
+}
+
+// /dev/full accepts the open and fails the write; a small output fails
+// only when fclose flushes it, so every writer must check that too.
+TEST(ExportTest, WritersReportAFullDevice) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_FALSE(WriteSnapshotJsonFile("/dev/full").ok());
+  EXPECT_FALSE(WriteChromeTraceFile("/dev/full").ok());
+  EXPECT_FALSE(WritePrometheusTextFile("/dev/full").ok());
+  EXPECT_FALSE(WriteFlightDump("/dev/full").ok());
 }
 
 }  // namespace

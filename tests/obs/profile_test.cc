@@ -1,7 +1,7 @@
 // Tests for the per-query profiler (obs/profile.h): window isolation of
 // counter/histogram/gauge deltas, single-active semantics, subsystem
 // annotations (notes, stats, worker rows), the rq-profile/1 JSON report,
-// and reconciliation of profile deltas against the global registries.
+// and reconciliation of profile deltas against the global registry.
 #include "obs/profile.h"
 
 #include <cstdint>
@@ -193,7 +193,7 @@ TEST(ProfileTest, ProfileScopeBeginsAndEnds) {
 }
 
 // Acceptance property: profile deltas reconcile with the global export —
-// for a window in which only this thread touches the registries, every
+// for a window in which only this thread touches the registry, every
 // profile delta equals the global counter's growth, and in general a
 // profile delta can never exceed the global total.
 TEST(ProfileTest, DeltasReconcileWithGlobalRegistry) {

@@ -5,7 +5,7 @@
 // agreement between the rq-obs/2 quantile (bucket lower bound) and the
 // Prometheus bucket boundaries (inclusive upper bounds).
 //
-// The registries are process-wide and shared with every other test in this
+// The registry is process-wide and shared with every other test in this
 // binary, so each test uses uniquely named metrics and parses only its own
 // families out of the rendered document.
 #include "obs/prometheus.h"
