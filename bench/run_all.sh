@@ -15,10 +15,9 @@
 #                 Prometheus text format; every file is validated by
 #                 bench/check_prometheus.py and the last one is kept next
 #                 to --out as <out-stem>.prom.
-#                 Without an explicit --baseline, the first smoke run saves
-#                 its suite as <build-dir>/BENCH_baseline.json and later
-#                 runs self-compare against it (warn-only: smoke timings
-#                 are too noisy to gate on).
+#                 A smoke run records no headline and, without an explicit
+#                 --baseline, no baseline comparison: ~1 ms timings are
+#                 too short to compare.
 #   --trace       enable aggregate span tracing in each binary
 #   --cache       enable the automata cache in every binary; the suite
 #                 report then records the aggregate cache hit rate, and the
@@ -195,10 +194,13 @@ if cache and lookups == 0:
     sys.exit("--cache was on but cache.hits + cache.misses == 0: "
              "the cache never saw a lookup")
 
+# The headlines below compare timings, so a smoke run records none.
+timed = [] if smoke else suite["binaries"]
+
 # Headline metric: geomean speedup of cached --jobs 4 over uncached serial
 # across the bench_batch_containment workloads (cache:C/jobs:J arg names).
 base_times, fast_times = {}, {}
-for report in suite["binaries"]:
+for report in timed:
     if report.get("binary") != "bench_batch_containment":
         continue
     for b in report.get("benchmarks", []):
@@ -226,7 +228,7 @@ if common:
 # (benchmark names embed .../jobs:N). Tracks available cores: ~1.0 on a
 # single-core host, rising with real parallel hardware.
 eval_base, eval_fast = {}, {}
-for report in suite["binaries"]:
+for report in timed:
     if report.get("binary") != "bench_graph_eval":
         continue
     for b in report.get("benchmarks", []):
@@ -254,7 +256,7 @@ if common:
 # by benchmark name so both the client sweep and the saturated shedding
 # config land in the suite summary.
 server_configs = {}
-for report in suite["binaries"]:
+for report in timed:
     if report.get("binary") != "bench_server_throughput":
         continue
     for b in report.get("benchmarks", []):
@@ -279,7 +281,7 @@ if server_configs:
 # by benchmark name so the writer sweep and the budget-capped fallback
 # config both land in the suite summary.
 mutation_configs = {}
-for report in suite["binaries"]:
+for report in timed:
     if report.get("binary") != "bench_graph_mutation":
         continue
     for b in report.get("benchmarks", []):
@@ -310,28 +312,16 @@ print(f"wrote {out_path}: {len(suite['binaries'])} binaries, "
       f"{'n/a' if hit_rate is None else f'{hit_rate:.1%}'}")
 PY
 
-# Regression gating (bench/compare.py). An explicit --baseline gates the
-# run; --smoke without one bootstraps a per-build-dir baseline and then
-# self-compares warn-only on later runs.
-compare_py="${repo_root}/bench/compare.py"
+# Regression gating (bench/compare.py): only an explicit --baseline
+# compares, and it gates the run.
 if [[ -n "$baseline" ]]; then
   if [[ ! -f "$baseline" ]]; then
     echo "baseline file not found: ${baseline}" >&2
     exit 2
   fi
   echo "== comparing against baseline ${baseline}" >&2
-  python3 "$compare_py" "$baseline" "$out" --record-into "$out" >&2 \
-    || failed=1
-elif [[ "$smoke" == true ]]; then
-  smoke_baseline="${build_dir}/BENCH_baseline.json"
-  if [[ -f "$smoke_baseline" ]]; then
-    echo "== smoke self-comparison against ${smoke_baseline} (warn-only)" >&2
-    python3 "$compare_py" "$smoke_baseline" "$out" \
-      --warn-only --record-into "$out" >&2 || true
-  else
-    cp "$out" "$smoke_baseline"
-    echo "saved smoke baseline to ${smoke_baseline}" >&2
-  fi
+  python3 "${repo_root}/bench/compare.py" "$baseline" "$out" \
+    --record-into "$out" >&2 || failed=1
 fi
 
 exit "$failed"

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Unit tests for the bench/run_all.sh --timeout guard, driven by fake
-bench_* binaries (no real benchmarks run). Registered with ctest as
-bench_run_all_timeout_unit; also runnable directly:
+"""Unit tests for bench/run_all.sh — the --timeout guard and what a
+--smoke run records — driven by fake bench_* binaries (no real
+benchmarks run). Registered with ctest as bench_run_all_timeout_unit;
+also runnable directly:
 
     python3 bench/test_run_all_timeout.py
 """
@@ -37,15 +38,39 @@ OK_REPORT = {
 }
 
 OK_SCRIPT = """#!/usr/bin/env bash
-# Fake bench binary: emit a fixed report at the path following --json.
+# Fake bench binary: emit a fixed report at the path following --json and
+# a one-counter exposition at the path following --prometheus.
 json=""
+prom=""
 while [[ $# -gt 0 ]]; do
-  if [[ "$1" == "--json" ]]; then json="$2"; shift 2; else shift; fi
+  case "$1" in
+    --json) json="$2"; shift 2 ;;
+    --prometheus) prom="$2"; shift 2 ;;
+    *) shift ;;
+  esac
 done
+if [[ -n "$prom" ]]; then
+  printf '# TYPE rq_containment_checks counter\\nrq_containment_checks 1\\n' \\
+    > "$prom"
+fi
 cat > "$json" <<'EOF'
 %s
 EOF
 """
+
+# A jobs sweep as bench_graph_eval reports it: the rows a non-smoke run
+# turns into the graph_eval_speedup headline.
+GRAPH_EVAL_REPORT = dict(
+    OK_REPORT, binary="bench_graph_eval", smoke=True,
+    benchmarks=[
+        {"name": "W/jobs:" + jobs, "iterations": 1, "real_time_ns": 100.0,
+         "cpu_time_ns": 100.0, "counters": {}}
+        for jobs in ("1", "8")
+    ])
+
+HEADLINE_KEYS = ("batch_cache_speedup", "graph_eval_speedup",
+                 "server_throughput", "mutation_throughput",
+                 "baseline_comparison")
 
 HANG_SCRIPT = """#!/usr/bin/env bash
 # Fake hung bench binary: never returns on its own. exec so the sleep IS
@@ -97,6 +122,24 @@ class RunAllTimeoutTest(unittest.TestCase):
                 OK_SCRIPT % json.dumps(OK_REPORT, indent=2))
             proc, _ = run(build_dir)
             self.assertEqual(proc.returncode, 0, proc.stderr)
+
+
+class RunAllSmokeTest(unittest.TestCase):
+    def test_smoke_runs_record_no_headline_and_no_baseline(self):
+        with tempfile.TemporaryDirectory() as build_dir:
+            write_executable(
+                os.path.join(build_dir, "bench_graph_eval"),
+                OK_SCRIPT % json.dumps(GRAPH_EVAL_REPORT, indent=2))
+            for attempt in (1, 2):
+                proc, out = run(build_dir, "--smoke")
+                self.assertEqual(proc.returncode, 0, proc.stderr)
+                with open(out) as f:
+                    suite = json.load(f)
+                self.assertTrue(suite["smoke"])
+                for key in HEADLINE_KEYS:
+                    self.assertNotIn(key, suite, f"smoke run {attempt}")
+                self.assertFalse(os.path.exists(
+                    os.path.join(build_dir, "BENCH_baseline.json")))
 
 
 if __name__ == "__main__":

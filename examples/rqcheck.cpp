@@ -12,8 +12,9 @@
 //                         counters/gauges/histograms and any dropped-span
 //                         count) to stderr
 //     --profile           print an EXPLAIN ANALYZE-style per-query report
-//                         (counter deltas, windowed distributions, gauge
-//                         levels, batch-worker rows) after the verdict
+//                         (plan notes, counters, distributions, gauge
+//                         levels, memory peaks, batch-worker rows) after
+//                         the verdict
 //     --profile-json <path> write the same report as JSON (schema
 //                         "rq-profile/1") to <path>
 //     --stats-json <path> write the observability snapshot (counters,
@@ -53,44 +54,25 @@
 //   rqcheck datalog @prog1.dl @prog2.dl
 //
 // Exit code: 0 = contained (proved), 1 = refuted, 2 = unknown-up-to-bound,
-// 3 = usage/parse error, 4 = memory budget exceeded.
+// 3 = usage/parse/write error, 4 = memory budget exceeded.
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
-
 #include <vector>
 
-#include "cache/automata_cache.h"
-#include "common/deadline.h"
-#include "common/parallel.h"
-#include "containment/batch.h"
+#include "cli_obs.h"
 #include "containment/containment.h"
-#include "rq/equivalence.h"
 #include "crpq/crpq.h"
-#include "obs/chrome_trace.h"
-#include "obs/export.h"
-#include "obs/flight_recorder.h"
-#include "obs/profile.h"
-#include "obs/prometheus.h"
-#include "obs/trace.h"
 #include "pathquery/containment.h"
 #include "relational/cq.h"
+#include "rq/equivalence.h"
 #include "rq/parser.h"
 
 using namespace rq;  // examples only
 
 namespace {
 
-std::string LoadArg(const std::string& arg) {
-  if (arg.empty() || arg[0] != '@') return arg;
-  std::ifstream in(arg.substr(1));
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
+constexpr int kErrorExit = 3;
 
 int Report(Certainty certainty, const std::string& method,
            const std::optional<Database>& counterexample) {
@@ -113,7 +95,7 @@ int Report(Certainty certainty, const std::string& method,
 
 int Fail(const std::string& message) {
   std::fprintf(stderr, "rqcheck: %s\n", message.c_str());
-  return 3;
+  return kErrorExit;
 }
 
 int RunCheck(const std::string& cls, const std::string& t1,
@@ -225,62 +207,8 @@ int RunCheck(const std::string& cls, const std::string& t1,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool trace = false;
-  bool profile_text = false;
-  std::string profile_json;
-  std::string stats_json;
-  std::string chrome_trace;
-  std::string flight_dump;
-  std::string prometheus;
-  int64_t timeout_ms = 0;
-  int64_t memory_budget_mb = 0;
-  std::vector<std::string> positional;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--trace") {
-      trace = true;
-    } else if (arg == "--profile") {
-      profile_text = true;
-    } else if (arg == "--profile-json" && i + 1 < argc) {
-      profile_json = argv[++i];
-    } else if (arg.rfind("--profile-json=", 0) == 0) {
-      profile_json = arg.substr(15);
-    } else if (arg == "--flight-dump" && i + 1 < argc) {
-      flight_dump = argv[++i];
-    } else if (arg.rfind("--flight-dump=", 0) == 0) {
-      flight_dump = arg.substr(14);
-    } else if (arg == "--prometheus" && i + 1 < argc) {
-      prometheus = argv[++i];
-    } else if (arg.rfind("--prometheus=", 0) == 0) {
-      prometheus = arg.substr(13);
-    } else if (arg == "--cache") {
-      cache::AutomataCache::Global().SetEnabled(true);
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      SetDefaultParallelJobs(
-          static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10)));
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      SetDefaultParallelJobs(
-          static_cast<unsigned>(std::strtoul(arg.c_str() + 7, nullptr, 10)));
-    } else if (arg == "--timeout-ms" && i + 1 < argc) {
-      timeout_ms = std::strtoll(argv[++i], nullptr, 10);
-    } else if (arg.rfind("--timeout-ms=", 0) == 0) {
-      timeout_ms = std::strtoll(arg.c_str() + 13, nullptr, 10);
-    } else if (arg == "--memory-budget-mb" && i + 1 < argc) {
-      memory_budget_mb = std::strtoll(argv[++i], nullptr, 10);
-    } else if (arg.rfind("--memory-budget-mb=", 0) == 0) {
-      memory_budget_mb = std::strtoll(arg.c_str() + 19, nullptr, 10);
-    } else if (arg == "--stats-json" && i + 1 < argc) {
-      stats_json = argv[++i];
-    } else if (arg.rfind("--stats-json=", 0) == 0) {
-      stats_json = arg.substr(13);
-    } else if (arg == "--chrome-trace" && i + 1 < argc) {
-      chrome_trace = argv[++i];
-    } else if (arg.rfind("--chrome-trace=", 0) == 0) {
-      chrome_trace = arg.substr(15);
-    } else {
-      positional.push_back(std::move(arg));
-    }
-  }
+  cli::ObsFlags flags;
+  std::vector<std::string> positional = cli::ParseObsFlags(argc, argv, &flags);
   if (positional.size() != 3) {
     return Fail(
         "usage: rqcheck [--trace] [--profile] [--profile-json <path>] "
@@ -289,71 +217,12 @@ int main(int argc, char** argv) {
         "[--timeout-ms N] [--memory-budget-mb N] "
         "<rpq|2rpq|cq|ucq|uc2rpq|rq|rq-equiv|datalog> <q1> <q2>");
   }
-  // Full tracing when any flag needs span data; counters always run.
-  if (trace || !stats_json.empty() || !chrome_trace.empty()) {
-    obs::SetTraceMode(obs::TraceMode::kFull);
-  }
-  obs::InstallFlightSignalHandler();
-
   const std::string cls = positional[0];
-  const std::string q1 = LoadArg(positional[1]);
-  const std::string q2 = LoadArg(positional[2]);
-  obs::SetFlightQueryLabel(cls + " " + q1 + " <= " + q2);
-
-  obs::QueryProfile profile;
-  const bool profiling = profile_text || !profile_json.empty();
-  if (profiling) profile.Begin("rqcheck", cls, q1 + "  <=  " + q2);
-
-  // The check always runs under a context (budget 0 = unlimited), so the
-  // per-subsystem peak-byte breakdown lands in --profile output and the
-  // flight recorder's mem_peak field even without a budget.
-  ExecContext ctx(
-      timeout_ms > 0 ? Deadline::AfterMillis(timeout_ms)
-                     : Deadline::Infinite(),
-      /*cancel=*/nullptr,
-      memory_budget_mb > 0
-          ? static_cast<uint64_t>(memory_budget_mb) * 1024 * 1024
-          : 0);
-  int code;
-  {
-    // Scope the context to the check itself so the stats/trace dumps
-    // below never run under an expired deadline.
-    ScopedExecContext scoped(&ctx);
-    code = RunCheck(cls, q1, q2);
-  }
-  // A check that failed because the byte budget latched gets the distinct
-  // resource-exhausted exit code; errors for other reasons keep 3.
-  // exceeded() reads the shared pot, so trips latched on batch jobs and
-  // worker mirrors count too.
-  if (code == 3 && ctx.exceeded()) code = 4;
-
-  if (profiling) {
-    // End() samples the memory section from the installed context.
-    ScopedExecContext sampled(&ctx);
-    profile.End();
-    if (profile_text) std::fputs(profile.ToText().c_str(), stdout);
-    if (!profile_json.empty()) {
-      std::ofstream out(profile_json);
-      out << profile.ToJson().Dump(2) << '\n';
-      if (!out) return Fail("cannot write " + profile_json);
-    }
-  }
-  if (trace) obs::PrintSpanTree(stderr);
-  if (!stats_json.empty()) {
-    Status status = obs::WriteSnapshotJsonFile(stats_json);
-    if (!status.ok()) return Fail(status.ToString());
-  }
-  if (!chrome_trace.empty()) {
-    Status status = obs::WriteChromeTraceFile(chrome_trace);
-    if (!status.ok()) return Fail(status.ToString());
-  }
-  if (!flight_dump.empty()) {
-    Status status = obs::WriteFlightDump(flight_dump);
-    if (!status.ok()) return Fail(status.ToString());
-  }
-  if (!prometheus.empty()) {
-    Status status = obs::WritePrometheusTextFile(prometheus);
-    if (!status.ok()) return Fail(status.ToString());
-  }
-  return code;
+  const std::string q1 = cli::LoadArg(positional[1]);
+  const std::string q2 = cli::LoadArg(positional[2]);
+  return cli::RunObserved(
+      flags,
+      {"rqcheck", cls, q1 + "  <=  " + q2, cls + " " + q1 + " <= " + q2,
+       kErrorExit},
+      [&] { return RunCheck(cls, q1, q2); });
 }

@@ -49,7 +49,10 @@ ExecContext::ExecContext(Deadline deadline, CancelToken* cancel,
                          uint64_t budget_bytes, const ExecContext* parent)
     : deadline_(deadline), cancel_(cancel), pot_(std::make_shared<Pot>()) {
   pot_->budget_bytes = budget_bytes;
-  if (parent != nullptr) pot_->parent = parent->pot_;
+  if (parent != nullptr) {
+    pot_->parent = parent->pot_;
+    profile_ = parent->profile_;
+  }
 }
 
 ExecContext ExecContext::ChildOf(const ExecContext* parent) {

@@ -8,11 +8,11 @@
 // an optional shared CancelToken and an accounting pot with an optional
 // byte budget — and unwinds with kDeadlineExceeded, kCancelled or
 // kResourceExhausted instead of hanging. The context is installed
-// thread-locally (ScopedExecContext), mirroring the
-// obs::QueryProfile::Active() idiom, so deep loops consult it through
+// thread-locally (ScopedExecContext), so deep loops consult it through
 // CheckExecContext() without threading a parameter through every
-// signature, and the attribution API of common/mem.h (MemScope/MemCharge)
-// charges the same installation.
+// signature, the attribution API of common/mem.h (MemScope/MemCharge)
+// charges the same installation, and plan notes reach the query's own
+// obs::QueryProfile when one is attached (obs/profile.h).
 //
 // Cost model: CheckExecContext() with no context installed is one
 // thread-local load and a branch. With a context it adds relaxed atomic
@@ -29,6 +29,9 @@
 // Pool threads see the caller's context without any code at the fan-out
 // site: ParallelFor (common/parallel.h) captures the calling thread's
 // installation and installs an ExecContext::ChildOf mirror on each worker.
+// Mirrors and contexts built with a parent carry the parent's profile, so
+// worker and batch-job notes land in the profile of the query that
+// spawned them.
 #ifndef RQ_COMMON_DEADLINE_H_
 #define RQ_COMMON_DEADLINE_H_
 
@@ -42,6 +45,10 @@
 #include "common/status.h"
 
 namespace rq {
+
+namespace obs {
+class QueryProfile;
+}  // namespace obs
 
 // A point on the steady clock. Default-constructed deadlines are infinite
 // (never expire), so a Deadline member costs nothing until a caller asks
@@ -96,7 +103,8 @@ class CancelToken {
 // A context built with a parent chains its pot to the parent's: charges
 // propagate up the chain (a batch job's bytes also count against the
 // caller's pot) and a budget crossed anywhere on the chain stops this
-// context too. The deadline and cancel token are this context's own.
+// context too. It also inherits the parent's profile. The deadline and
+// cancel token are this context's own.
 class ExecContext {
  public:
   // Clock reads are amortized: Check() consults the cancel token every
@@ -117,10 +125,10 @@ class ExecContext {
   ExecContext(const ExecContext&) = delete;
   ExecContext& operator=(const ExecContext&) = delete;
 
-  // A mirror of `parent` for another thread: same deadline, token, pot and
-  // budget, with a fresh latch; a fresh unbounded context when parent is
-  // null. Mirrors record no deadline.slack_ns sample (the parent's own
-  // scope does).
+  // A mirror of `parent` for another thread: same deadline, token, pot,
+  // budget and profile, with a fresh latch; a fresh unbounded context when
+  // parent is null. Mirrors record no deadline.slack_ns sample (the
+  // parent's own scope does).
   static ExecContext ChildOf(const ExecContext* parent);
 
   // The context installed on the calling thread, or null.
@@ -128,6 +136,13 @@ class ExecContext {
 
   const Deadline& deadline() const { return deadline_; }
   CancelToken* cancel_token() const { return cancel_; }
+
+  // The profile recording this query's plan notes and worker rows, or
+  // null (obs::QueryProfile::Begin attaches one). Mirrors and child
+  // contexts copy it when they are built, so attach it before the context
+  // is shared.
+  obs::QueryProfile* profile() const { return profile_; }
+  void set_profile(obs::QueryProfile* profile) { profile_ = profile; }
 
   // Adds `bytes` (negative to release) under `subsystem` to this context's
   // pot and every ancestor's; sets the exceeded flag on any pot whose
@@ -179,6 +194,7 @@ class ExecContext {
       : deadline_(parent.deadline_),
         cancel_(parent.cancel_),
         pot_(parent.pot_),
+        profile_(parent.profile_),
         slack_recorded_(true) {}
 
   Status Trip(Status status);
@@ -186,6 +202,7 @@ class ExecContext {
   Deadline deadline_;
   CancelToken* cancel_ = nullptr;
   std::shared_ptr<Pot> pot_;
+  obs::QueryProfile* profile_ = nullptr;
   uint32_t polls_until_clock_ = 0;  // 0 so the first Check reads the clock
   bool stopped_ = false;
   bool slack_recorded_ = false;

@@ -13,10 +13,10 @@
 //
 // Each pool thread runs under a mirror of the calling thread's installed
 // ExecContext (ExecContext::ChildOf, common/deadline.h): `work` polls the
-// caller's deadline, cancel token and byte budget, and charges the
-// caller's memory pot, exactly as it would inline. A mirror latches on its
-// own thread, so the caller learns of a worker's trip by polling its own
-// context after the pool joins.
+// caller's deadline, cancel token and byte budget, charges the caller's
+// memory pot and notes into the caller's query profile, exactly as it
+// would inline. A mirror latches on its own thread, so the caller learns
+// of a worker's trip by polling its own context after the pool joins.
 //
 // This is the pool behind batched containment (containment/batch.h) and
 // multi-source graph evaluation (pathquery/path_query.h).
@@ -43,8 +43,8 @@ unsigned DefaultParallelJobs();
 // dense id of the pool thread running it (0..workers-1; always 0 on the
 // inline serial path). Lets callers keep PER-WORKER accumulators that are
 // touched by exactly one thread — the batch containment engine uses this
-// to isolate per-worker profile deltas (obs/profile.h) without shared
-// state in the job loop.
+// to build per-worker profile rows (obs/profile.h) without shared state
+// in the job loop.
 template <typename Work>
 void ParallelForWorker(size_t n, unsigned jobs, Work&& work) {
   if (jobs <= 1 || n <= 1) {

@@ -27,10 +27,10 @@ uint64_t SteadyNowNs() {
 // must only touch per-index state (the checkers' shared state — obs
 // counters and the automata cache — is internally synchronized).
 //
-// Per-worker delta isolation for the profiler: when a query profile is
-// active (obs/profile.h), each pool thread accumulates its own job count
+// Per-worker profile rows: when the caller's context carries a query
+// profile (obs/profile.h), each pool thread accumulates its own job count
 // and busy wall-time in a slot only it touches, and the rows are flushed
-// to the profile once after the pool joins — worker attribution without
+// to that profile once after the pool joins — worker attribution without
 // any shared mutable state inside the job loop.
 template <typename Work>
 void RunJobs(size_t n, unsigned jobs, Work work) {
@@ -42,7 +42,7 @@ void RunJobs(size_t n, unsigned jobs, Work work) {
   // overlapping batches. One gauge update per job, not per inner step, so
   // the checkers' hot loops stay untouched.
   counters.queue_depth.Add(static_cast<int64_t>(n));
-  obs::QueryProfile* profile = obs::QueryProfile::Active();
+  obs::QueryProfile* profile = obs::CurrentProfile();
   if (profile == nullptr) {
     ParallelFor(n, jobs, [&counters, &work](size_t i) {
       work(i);

@@ -80,7 +80,7 @@ Result<RqContainmentResult> CheckDatalogContainment(
   }
   timer.Finish(FlightVerdictFromCertainty(result->certainty),
                result->expansions_checked);
-  if (obs::QueryProfile* profile = obs::QueryProfile::Active()) {
+  if (obs::QueryProfile* profile = obs::CurrentProfile()) {
     profile->AddNote("datalog.method", result->method);
   }
   return result;

@@ -511,7 +511,7 @@ Result<CrpqContainmentResult> CheckUc2RpqContainment(
   }
   timer.Finish(FlightVerdictFromCertainty(result->certainty),
                result->expansions_checked);
-  if (obs::QueryProfile* profile = obs::QueryProfile::Active()) {
+  if (obs::QueryProfile* profile = obs::CurrentProfile()) {
     profile->AddNote("uc2rpq.method",
                      result->truncated ? result->method + " (truncated)"
                                        : result->method);

@@ -78,18 +78,6 @@ Histogram* GetHistogram(std::string_view name) {
   return Registry::Global().GetHistogram(name);
 }
 
-std::vector<CounterSample> CounterGrowth(
-    const std::vector<CounterSample>& before,
-    const std::vector<CounterSample>& after) {
-  std::vector<CounterSample> out;
-  for (const CounterSample& sample : after) {
-    const CounterSample* base = FindSample(before, sample.name);
-    uint64_t was = base != nullptr ? base->value : 0;
-    if (sample.value > was) out.push_back({sample.name, sample.value - was});
-  }
-  return out;
-}
-
 CounterDelta::CounterDelta()
     : baseline_(Registry::Global().Snapshot().counters) {}
 
@@ -97,10 +85,6 @@ uint64_t CounterDelta::Delta(std::string_view name) const {
   uint64_t now = GetCounter(name)->value();
   const CounterSample* base = FindSample(baseline_, name);
   return now - (base != nullptr ? base->value : 0);
-}
-
-std::vector<CounterSample> CounterDelta::Deltas() const {
-  return CounterGrowth(baseline_, Registry::Global().Snapshot().counters);
 }
 
 }  // namespace obs

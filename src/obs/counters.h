@@ -136,25 +136,14 @@ const Sample* FindSample(const std::vector<Sample>& samples,
   return it != samples.end() && it->name == name ? &*it : nullptr;
 }
 
-// The counters that grew from `before` to `after` (two name-sorted
-// snapshots, as Registry::Snapshot returns them), with their growth;
-// counters registered after `before` count from 0.
-std::vector<CounterSample> CounterGrowth(
-    const std::vector<CounterSample>& before,
-    const std::vector<CounterSample>& after);
-
 // Captures all counter values at construction; Delta(name) reports how much
-// a counter grew since then (0 for counters registered later with no
-// baseline). The standard way for tests and CLI tools to attribute counts
-// to one operation.
+// a counter grew since then (counters registered later count from 0). The
+// standard way for tests to attribute counts to one operation.
 class CounterDelta {
  public:
   CounterDelta();
 
   uint64_t Delta(std::string_view name) const;
-
-  // All counters that grew since construction, name-sorted.
-  std::vector<CounterSample> Deltas() const;
 
  private:
   std::vector<CounterSample> baseline_;

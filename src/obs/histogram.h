@@ -71,16 +71,16 @@ class Histogram {
   uint64_t ValueAtQuantile(double q) const;
 
   // Relaxed copy of the raw per-bucket counts. This is the substrate of
-  // registry snapshots (obs/counters.h), which feed both windowed
-  // quantiles (obs/profile.h diffs two snapshots) and the Prometheus
-  // cumulative-bucket rendering (obs/prometheus.h maps bucket index i to
-  // the inclusive upper bound BucketLowerBound(i + 1) - 1).
+  // registry snapshots (obs/counters.h), which feed the exporters'
+  // quantiles and the Prometheus cumulative-bucket rendering
+  // (obs/prometheus.h maps bucket index i to the inclusive upper bound
+  // BucketLowerBound(i + 1) - 1).
   std::array<uint64_t, kNumBuckets> SnapshotBuckets() const;
 
   // Quantile extraction over an externally held bucket snapshot (same
   // lower-bound semantics as ValueAtQuantile; 0 when the snapshot is
-  // empty). Lets callers compute quantiles of a bucket DIFFERENCE — the
-  // per-query windows of obs/profile.h — without a live Histogram.
+  // empty). Lets exporters read quantiles off a registry snapshot without
+  // a live Histogram.
   static uint64_t QuantileFromBuckets(
       const std::array<uint64_t, kNumBuckets>& buckets, double q);
 

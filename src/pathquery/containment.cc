@@ -207,7 +207,7 @@ PathContainmentResult CheckPathQueryContainment(const Regex& q1,
   } else {
     result = CheckTwoWayContainment(q1, q2, alphabet);
   }
-  if (obs::QueryProfile* profile = obs::QueryProfile::Active()) {
+  if (obs::QueryProfile* profile = obs::CurrentProfile()) {
     profile->AddNote("path.pipeline",
                      result.used_fold_pipeline ? "2rpq-fold" : "lemma1");
   }

@@ -161,7 +161,7 @@ Result<RqContainmentResult> CheckRqContainment(
   }
   timer.Finish(FlightVerdictFromCertainty(result->certainty),
                result->expansions_checked);
-  if (obs::QueryProfile* profile = obs::QueryProfile::Active()) {
+  if (obs::QueryProfile* profile = obs::CurrentProfile()) {
     profile->AddNote("rq.method", result->method);
   }
   return result;

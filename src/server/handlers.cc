@@ -329,7 +329,7 @@ obs::JsonValue HandleEval(const Request& request, const HandlerContext& ctx) {
       if (const SortedRows* closure = ctx.view.Closure(*closure_label);
           closure != nullptr) {
         obs::IncrCounters::Get().closure_evals.Increment();
-        if (auto* profile = obs::QueryProfile::Active()) {
+        if (obs::QueryProfile* profile = obs::CurrentProfile()) {
           profile->AddNote("eval_path", "incremental-closure");
         }
         obs::JsonValue response = render(*closure);

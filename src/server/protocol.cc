@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <sys/types.h>
 
+#include <algorithm>
 #include <utility>
 
 namespace rq {
@@ -165,9 +166,14 @@ Status ReadFrame(int fd, std::string* payload, bool* clean_eof,
                                 std::to_string(max_frame_bytes) +
                                 "-byte frame limit");
   }
-  payload->resize(n);
-  if (n > 0) {
-    RQ_RETURN_IF_ERROR(ReadAll(fd, payload->data(), n, nullptr));
+  // Grow the buffer as payload bytes arrive, one bounded chunk at a time:
+  // the header alone must not make the reader allocate the whole frame.
+  constexpr size_t kReadChunkBytes = 64u << 10;
+  while (payload->size() < n) {
+    size_t offset = payload->size();
+    size_t chunk = std::min<size_t>(kReadChunkBytes, n - offset);
+    payload->resize(offset + chunk);
+    RQ_RETURN_IF_ERROR(ReadAll(fd, payload->data() + offset, chunk, nullptr));
   }
   return Status::Ok();
 }

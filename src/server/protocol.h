@@ -77,6 +77,8 @@ Status WriteRaw(int fd, std::string_view bytes);
 // Reads one length-prefixed frame into `*payload` (blocking). On a clean
 // peer close before any header byte, returns OK with *clean_eof = true and
 // an empty payload; EOF mid-frame and oversized announcements are errors.
+// The payload grows only as its bytes arrive, so a header alone never
+// makes the reader allocate up to the announced length.
 Status ReadFrame(int fd, std::string* payload, bool* clean_eof,
                  size_t max_frame_bytes = kMaxFrameBytes);
 

@@ -1,13 +1,15 @@
 // Concurrency tests for the observability layer (the `tsan`/`obsv2` ctest
 // labels run this binary under ThreadSanitizer): histogram and gauge
 // totals under contention, exports that stay valid while writers race
-// them, and the per-thread span attribution regression — a multi-worker
+// them, the per-thread span attribution regression — a multi-worker
 // containment batch in full trace mode must never link a span to a parent
-// recorded by a different thread.
+// recorded by a different thread — and per-query profile records that
+// collect only the work run under their own context.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <map>
 #include <set>
 #include <sstream>
@@ -16,16 +18,22 @@
 #include <vector>
 
 #include "automata/alphabet.h"
+#include "common/deadline.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "containment/batch.h"
 #include "obs/counters.h"
 #include "obs/export.h"
 #include "obs/gauge.h"
 #include "obs/histogram.h"
+#include "obs/profile.h"
 #include "obs/prometheus.h"
 #include "obs/subsystems.h"
 #include "obs/trace.h"
+#include "pathquery/containment.h"
 #include "regex/regex.h"
+#include "rq/containment.h"
+#include "rq/parser.h"
 
 namespace rq {
 namespace {
@@ -226,6 +234,112 @@ TEST(ObsConcurrencyTest, BatchQueueDepthGaugeDrainsToZero) {
   CheckContainmentBatch(jobs, options);
   EXPECT_EQ(depth.value(), 0);
   EXPECT_EQ(depth.peak(), kJobs);  // the whole batch is enqueued up front
+}
+
+// An RQ check that notes rq.method and uc2rpq.method.
+void CheckRqPair() {
+  auto q1 = ParseRq("q(x,y) := tc[x,y](a(x,y) & b(x,y))");
+  auto q2 = ParseRq("q(x,y) := tc[x,y](a(x,y))");
+  ASSERT_TRUE(q1.ok() && q2.ok());
+  ASSERT_TRUE(CheckRqContainment(*q1, *q2).ok());
+}
+
+// A 2RPQ check that notes path.pipeline.
+void CheckPathPair() {
+  Alphabet alphabet;
+  auto q1 = ParseRegex("p", &alphabet);
+  auto q2 = ParseRegex("p p- p", &alphabet);
+  ASSERT_TRUE(q1.ok() && q2.ok());
+  EXPECT_TRUE(CheckPathQueryContainment(**q1, **q2, alphabet).contained);
+}
+
+// (a) A check on another thread, under a context without a profile, must
+// leave no note in a profile that is collecting at the same time.
+TEST(ObsConcurrencyTest, ProfileIgnoresChecksUnderOtherContexts) {
+  ExecContext profiled;
+  ScopedExecContext scoped(&profiled);
+  obs::QueryProfile profile;
+  profile.Begin("test", "idle", "", &profiled);
+  std::thread other([] {
+    ExecContext plain;
+    ScopedExecContext other_scoped(&plain);
+    CheckRqPair();
+  });
+  other.join();
+  profile.End();
+  EXPECT_TRUE(profile.notes().empty());
+}
+
+// (b) Two queries profiled at the same time each collect only their own
+// plan notes.
+TEST(ObsConcurrencyTest, ConcurrentProfilesKeepTheirOwnNotes) {
+  obs::QueryProfile rq_profile;
+  obs::QueryProfile path_profile;
+  std::latch begun(2);
+  std::latch checked(2);
+  auto run = [&begun, &checked](obs::QueryProfile* profile, void (*check)()) {
+    ExecContext ctx;
+    ScopedExecContext scoped(&ctx);
+    profile->Begin("test", "concurrent", "", &ctx);
+    begun.arrive_and_wait();
+    check();
+    checked.arrive_and_wait();
+    profile->End();
+  };
+  std::thread rq_thread(run, &rq_profile, &CheckRqPair);
+  std::thread path_thread(run, &path_profile, &CheckPathPair);
+  rq_thread.join();
+  path_thread.join();
+
+  std::map<std::string, std::string> rq_notes = rq_profile.notes();
+  EXPECT_EQ(rq_notes.count("rq.method"), 1u);
+  EXPECT_EQ(rq_notes.count("path.pipeline"), 0u);
+  std::map<std::string, std::string> path_notes = path_profile.notes();
+  EXPECT_EQ(path_notes,
+            (std::map<std::string, std::string>{
+                {"path.pipeline", "2rpq-fold"}}));
+}
+
+// (c) ParallelFor workers and batch jobs run under contexts derived from
+// the caller's, so their notes and the batch's worker rows reach the
+// caller's profile.
+TEST(ObsConcurrencyTest, WorkersAndBatchJobsNoteIntoTheCallersProfile) {
+  constexpr size_t kItems = 16;
+  constexpr size_t kJobs = 8;
+  Alphabet alphabet;
+  auto q1 = ParseRegex("p", &alphabet);
+  auto q2 = ParseRegex("p p- p", &alphabet);
+  ASSERT_TRUE(q1.ok() && q2.ok());
+  std::vector<PathContainmentJob> jobs(kJobs, {q1->get(), q2->get()});
+
+  ExecContext ctx;
+  ScopedExecContext scoped(&ctx);
+  obs::QueryProfile profile;
+  profile.Begin("test", "fan-out", "", &ctx);
+  ParallelFor(kItems, 4, [](size_t i) {
+    if (obs::QueryProfile* current = obs::CurrentProfile()) {
+      current->AddNote("item." + std::to_string(i), "noted");
+    }
+  });
+  ContainmentBatchOptions options;
+  options.jobs = 4;
+  for (const PathContainmentResult& result :
+       CheckPathContainmentBatch(jobs, alphabet, options)) {
+    EXPECT_TRUE(result.contained);
+  }
+  profile.End();
+
+  std::map<std::string, std::string> notes = profile.notes();
+  for (size_t i = 0; i < kItems; ++i) {
+    EXPECT_EQ(notes.count("item." + std::to_string(i)), 1u) << i;
+  }
+  EXPECT_EQ(notes["path.pipeline"], "2rpq-fold");
+  uint64_t jobs_run = 0;
+  for (const obs::ProfileWorker& worker : profile.workers()) {
+    jobs_run += worker.jobs;
+  }
+  EXPECT_FALSE(profile.workers().empty());
+  EXPECT_EQ(jobs_run, kJobs);
 }
 
 }  // namespace

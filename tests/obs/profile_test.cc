@@ -1,7 +1,6 @@
-// Tests for the per-query profiler (obs/profile.h): window isolation of
-// counter/histogram/gauge deltas, single-active semantics, subsystem
-// annotations (notes, stats, worker rows), the rq-profile/1 JSON report,
-// and reconciliation of profile deltas against the global registry.
+// Tests for the per-query profile record (obs/profile.h): subsystem
+// annotations (notes, worker rows), the rq-profile/1 JSON and text
+// reports, and reconciliation of the report with the registry at End().
 #include "obs/profile.h"
 
 #include <cstdint>
@@ -18,132 +17,10 @@ namespace rq {
 namespace obs {
 namespace {
 
-const ProfileCounterDelta* FindCounter(const QueryProfile& profile,
-                                       const std::string& name) {
-  for (const ProfileCounterDelta& d : profile.counters())
-    if (d.name == name) return &d;
-  return nullptr;
-}
-
-const ProfileHistogramDelta* FindHistogram(const QueryProfile& profile,
-                                           const std::string& name) {
-  for (const ProfileHistogramDelta& d : profile.histograms())
-    if (d.name == name) return &d;
-  return nullptr;
-}
-
-const ProfileGaugeDelta* FindGauge(const QueryProfile& profile,
-                                   const std::string& name) {
-  for (const ProfileGaugeDelta& d : profile.gauges())
-    if (d.name == name) return &d;
-  return nullptr;
-}
-
-// The window must report only growth BETWEEN Begin and End: counts made
-// before Begin belong to the baseline, not the query.
-TEST(ProfileTest, CounterDeltaIsWindowed) {
-  Counter* counter = GetCounter("proftest.windowed_counter");
-  counter->Add(3);  // pre-window noise
-
-  QueryProfile profile;
-  profile.Begin("test", "unit", "windowed counter");
-  EXPECT_EQ(QueryProfile::Active(), &profile);
-  counter->Add(5);
-  profile.End();
-
-  EXPECT_TRUE(profile.collected());
-  EXPECT_EQ(QueryProfile::Active(), nullptr);
-  const ProfileCounterDelta* delta =
-      FindCounter(profile, "proftest.windowed_counter");
-  ASSERT_NE(delta, nullptr);
-  EXPECT_EQ(delta->delta, 5u);
-}
-
-// A counter that did not move inside the window must not appear at all.
-TEST(ProfileTest, QuietCountersAreOmitted) {
-  Counter* counter = GetCounter("proftest.quiet_counter");
-  counter->Add(100);
-
-  QueryProfile profile;
-  profile.Begin("test", "unit", "quiet counter");
-  profile.End();
-
-  EXPECT_EQ(FindCounter(profile, "proftest.quiet_counter"), nullptr);
-}
-
-// Windowed quantiles are recomputed from the bucket DIFFERENCE, so a noisy
-// pre-window distribution cannot leak into the profiled query's p50/p99.
-TEST(ProfileTest, HistogramQuantilesAreWindowed) {
-  Histogram* hist = GetHistogram("proftest.windowed_hist");
-  for (int i = 0; i < 50; ++i) hist->Record(100000);  // pre-window noise
-
-  QueryProfile profile;
-  profile.Begin("test", "unit", "windowed histogram");
-  hist->Record(1);
-  hist->Record(2);
-  hist->Record(3);
-  profile.End();
-
-  const ProfileHistogramDelta* delta =
-      FindHistogram(profile, "proftest.windowed_hist");
-  ASSERT_NE(delta, nullptr);
-  EXPECT_EQ(delta->count, 3u);
-  EXPECT_EQ(delta->sum, 6u);
-  // Values < 4 land in exact singleton buckets, so the windowed quantiles
-  // are exact despite 50 samples of 100000 sitting in the global buckets.
-  EXPECT_EQ(delta->p50, 2u);
-  EXPECT_EQ(delta->p99, 3u);
-  EXPECT_EQ(delta->max, 3u);
-}
-
-TEST(ProfileTest, GaugeWindowReportsLevelsAndPeak) {
-  Gauge* gauge = GetGauge("proftest.windowed_gauge");
-  gauge->Reset();
-  gauge->Set(10);
-
-  QueryProfile profile;
-  profile.Begin("test", "unit", "gauge window");
-  gauge->Set(40);   // raises the peak inside the window
-  gauge->Set(25);
-  profile.End();
-
-  const ProfileGaugeDelta* delta =
-      FindGauge(profile, "proftest.windowed_gauge");
-  ASSERT_NE(delta, nullptr);
-  EXPECT_EQ(delta->begin_value, 10);
-  EXPECT_EQ(delta->end_value, 25);
-  EXPECT_TRUE(delta->peak_raised);
-  EXPECT_EQ(delta->end_peak, 40);
-}
-
-// One profile at a time: a second Begin while another is active must
-// record nothing and leave the first profile in place.
-TEST(ProfileTest, SecondActiveProfileRecordsNothing) {
-  QueryProfile first;
-  first.Begin("test", "unit", "first");
-  QueryProfile second;
-  second.Begin("test", "unit", "second");
-  EXPECT_EQ(QueryProfile::Active(), &first);
-
-  GetCounter("proftest.single_active")->Add(2);
-  second.End();
-  EXPECT_FALSE(second.collected());
-  EXPECT_EQ(QueryProfile::Active(), &first);
-
-  first.End();
-  EXPECT_TRUE(first.collected());
-  const ProfileCounterDelta* delta =
-      FindCounter(first, "proftest.single_active");
-  ASSERT_NE(delta, nullptr);
-  EXPECT_EQ(delta->delta, 2u);
-}
-
 TEST(ProfileTest, AnnotationsAndWorkersInReport) {
   QueryProfile profile;
   profile.Begin("test", "unit", "annotations");
   profile.AddNote("dispatch.method", "2rpq-fold");
-  profile.AddStat("rounds", 3);
-  profile.AddStat("rounds", 4);  // accumulates
   profile.RecordWorker(0, 7, 1500);
   profile.RecordWorker(1, 9, 2500);
   profile.End();
@@ -157,11 +34,6 @@ TEST(ProfileTest, AnnotationsAndWorkersInReport) {
   EXPECT_NE(json.find("\"rq-profile/1\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"dispatch.method\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"2rpq-fold\""), std::string::npos) << json;
-  size_t rounds = json.find("\"rounds\"");
-  ASSERT_NE(rounds, std::string::npos) << json;
-  size_t value = json.find_first_of("0123456789", rounds + 8);
-  ASSERT_NE(value, std::string::npos) << json;
-  EXPECT_EQ(json[value], '7') << json;  // stat accumulated: 3 + 4
 }
 
 TEST(ProfileTest, TextReportCarriesQueryAndDeltas) {
@@ -177,39 +49,75 @@ TEST(ProfileTest, TextReportCarriesQueryAndDeltas) {
   EXPECT_NE(text.find("11"), std::string::npos) << text;
 }
 
-TEST(ProfileTest, ProfileScopeBeginsAndEnds) {
-  QueryProfile profile;
-  {
-    ProfileScope scope(&profile, "test", "unit", "raii");
-    EXPECT_EQ(QueryProfile::Active(), &profile);
-    GetCounter("proftest.scope_counter")->Increment();
+// The names of the rows for which `keep` holds, in order.
+template <typename Row, typename Keep>
+std::vector<std::string> Names(const std::vector<Row>& rows, Keep keep) {
+  std::vector<std::string> names;
+  for (const Row& row : rows) {
+    if (keep(row)) names.push_back(row.name);
   }
-  EXPECT_EQ(QueryProfile::Active(), nullptr);
-  EXPECT_TRUE(profile.collected());
-  const ProfileCounterDelta* delta =
-      FindCounter(profile, "proftest.scope_counter");
-  ASSERT_NE(delta, nullptr);
-  EXPECT_EQ(delta->delta, 1u);
+  return names;
 }
 
-// Acceptance property: profile deltas reconcile with the global export —
-// for a window in which only this thread touches the registry, every
-// profile delta equals the global counter's growth, and in general a
-// profile delta can never exceed the global total.
+// The row named `name` in one section of a rendered report, or null.
+const JsonValue* FindRow(const JsonValue& report, const char* section,
+                         const std::string& name) {
+  for (const JsonValue& row : report.Find(section)->items()) {
+    if (row.Find("name")->string_value() == name) return &row;
+  }
+  return nullptr;
+}
+
+// Reconciliation contract: the report is the registry at End() — exactly
+// its non-zero counter, histogram and gauge rows, with the values a
+// registry snapshot holds (histogram quantiles from its buckets).
 TEST(ProfileTest, DeltasReconcileWithGlobalRegistry) {
-  CounterDelta global_baseline;
+  GetCounter("proftest.reconcile_quiet");  // registered, never moved
+  Histogram* hist = GetHistogram("proftest.reconcile_hist");
+  Gauge* gauge = GetGauge("proftest.reconcile_gauge");
+
   QueryProfile profile;
   profile.Begin("test", "unit", "reconcile");
   GetCounter("proftest.reconcile_a")->Add(13);
-  GetCounter("proftest.reconcile_b")->Add(29);
+  for (uint64_t value : {1, 2, 3}) hist->Record(value);
+  gauge->Set(40);
+  gauge->Set(25);
   profile.End();
+  const MetricsSnapshot registry = Registry::Global().Snapshot();
 
-  for (const char* name : {"proftest.reconcile_a", "proftest.reconcile_b"}) {
-    const ProfileCounterDelta* delta = FindCounter(profile, name);
-    ASSERT_NE(delta, nullptr) << name;
-    EXPECT_EQ(delta->delta, global_baseline.Delta(name)) << name;
-    EXPECT_LE(delta->delta, GetCounter(name)->value()) << name;
-  }
+  auto all = [](const auto&) { return true; };
+  EXPECT_EQ(Names(profile.counters(), all),
+            Names(registry.counters,
+                  [](const CounterSample& row) { return row.value != 0; }));
+  EXPECT_EQ(Names(profile.histograms(), all),
+            Names(registry.histograms,
+                  [](const HistogramSample& row) { return row.count != 0; }));
+  EXPECT_EQ(Names(profile.gauges(), all),
+            Names(registry.gauges, [](const GaugeSample& row) {
+              return row.value != 0 || row.peak != 0;
+            }));
+
+  JsonValue report = profile.ToJson();
+  EXPECT_EQ(FindRow(report, "counters", "proftest.reconcile_quiet"), nullptr);
+  const JsonValue* counter =
+      FindRow(report, "counters", "proftest.reconcile_a");
+  ASSERT_NE(counter, nullptr);
+  EXPECT_EQ(counter->Find("delta")->number_value(), 13);
+  // Values < 4 land in exact singleton buckets, so p50 and p99 are exact.
+  const JsonValue* histogram =
+      FindRow(report, "histograms", "proftest.reconcile_hist");
+  ASSERT_NE(histogram, nullptr);
+  EXPECT_EQ(histogram->Find("count")->number_value(), 3);
+  EXPECT_EQ(histogram->Find("sum")->number_value(), 6);
+  EXPECT_EQ(histogram->Find("p50")->number_value(), 2);
+  EXPECT_EQ(histogram->Find("p99")->number_value(), 3);
+  EXPECT_EQ(histogram->Find("max")->number_value(), 3);
+  const JsonValue* level =
+      FindRow(report, "gauges", "proftest.reconcile_gauge");
+  ASSERT_NE(level, nullptr);
+  EXPECT_EQ(level->Find("end")->number_value(), 25);
+  EXPECT_EQ(level->Find("peak")->number_value(), 40);
+  EXPECT_TRUE(level->Find("peak_raised")->bool_value());
 }
 
 TEST(ProfileTest, WallTimeIsMeasured) {

@@ -280,10 +280,10 @@ TEST(MemBudgetPropagationTest, TruncatedByMemoryIsNeverCached) {
 // --- Observability surfaces ----------------------------------------------
 
 TEST(MemObsTest, ProfileReportsMemorySection) {
-  obs::QueryProfile profile;
-  profile.Begin("test", "mem", "profile-memory");
   ExecContext ctx;
   ScopedExecContext scoped(&ctx);
+  obs::QueryProfile profile;
+  profile.Begin("test", "mem", "profile-memory", &ctx);
   {
     MemScope scope(MemSubsystem::kAutomata);
     MemCharge(4096);

@@ -6,7 +6,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <string>
+#include <thread>
 
 #include "common/status.h"
 #include "gtest/gtest.h"
@@ -31,12 +33,22 @@ class SocketPair {
 
 TEST(FramingTest, RoundTripsPayloads) {
   SocketPair pair;
-  for (const std::string& payload :
-       {std::string(""), std::string("{}"), std::string(1000, 'x')}) {
-    ASSERT_TRUE(WriteFrame(pair.a(), payload).ok());
+  // The last payload spans more than one read chunk; a socketpair buffers
+  // far less than that, so it is written from a second thread.
+  std::string large((1u << 20) + 3, 'y');
+  large.front() = '<';
+  large.back() = '>';
+  for (const std::string& payload : {std::string(""), std::string("{}"),
+                                     std::string(1000, 'x'), large}) {
+    std::thread writer([&pair, &payload] {
+      EXPECT_TRUE(WriteFrame(pair.a(), payload).ok());
+    });
     std::string got;
     bool clean_eof = true;
-    ASSERT_TRUE(ReadFrame(pair.b(), &got, &clean_eof).ok());
+    Status status = ReadFrame(pair.b(), &got, &clean_eof);
+    if (!status.ok()) ::shutdown(pair.b(), SHUT_RDWR);  // unblock the writer
+    writer.join();
+    ASSERT_TRUE(status.ok()) << status.ToString();
     EXPECT_FALSE(clean_eof);
     EXPECT_EQ(got, payload);
   }
@@ -65,17 +77,26 @@ TEST(FramingTest, CleanPeerCloseIsNotAnError) {
 }
 
 TEST(FramingTest, EofMidFrameIsAnError) {
-  SocketPair pair;
-  // A 100-byte header followed by only 3 bytes, then close.
-  char header[4] = {0, 0, 0, 100};
-  ASSERT_EQ(::send(pair.a(), header, 4, 0), 4);
-  ASSERT_EQ(::send(pair.a(), "abc", 3, 0), 3);
-  ::shutdown(pair.a(), SHUT_WR);
-  std::string got;
-  bool clean_eof = false;
-  Status status = ReadFrame(pair.b(), &got, &clean_eof);
-  EXPECT_FALSE(status.ok());
-  EXPECT_FALSE(clean_eof);
+  // A header announcing 100 bytes, and one announcing one byte under the
+  // frame limit, each followed by only 3 bytes, then close. The buffer
+  // must grow with the bytes that arrived, not with the announcement.
+  for (uint32_t announced : {uint32_t{100},
+                             static_cast<uint32_t>(kMaxFrameBytes - 1)}) {
+    SocketPair pair;
+    char header[4] = {static_cast<char>(announced >> 24),
+                      static_cast<char>(announced >> 16),
+                      static_cast<char>(announced >> 8),
+                      static_cast<char>(announced)};
+    ASSERT_EQ(::send(pair.a(), header, 4, 0), 4);
+    ASSERT_EQ(::send(pair.a(), "abc", 3, 0), 3);
+    ::shutdown(pair.a(), SHUT_WR);
+    std::string got;
+    bool clean_eof = false;
+    Status status = ReadFrame(pair.b(), &got, &clean_eof);
+    EXPECT_FALSE(status.ok()) << announced;
+    EXPECT_FALSE(clean_eof) << announced;
+    EXPECT_LT(got.capacity(), size_t{1} << 20) << announced;
+  }
 }
 
 TEST(FramingTest, OversizedAnnouncementIsRejectedWithoutAllocating) {
