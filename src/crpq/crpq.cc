@@ -5,6 +5,7 @@
 
 #include "automata/words.h"
 #include "common/deadline.h"
+#include "common/mem.h"
 #include "common/strings.h"
 #include "containment/batch.h"
 #include "obs/flight_recorder.h"
@@ -198,38 +199,44 @@ Result<Uc2Rpq> ParseUc2Rpq(std::string_view text, Alphabet* alphabet) {
 Result<Relation> EvalCrpq(const GraphSnapshot& snapshot, const Crpq& query,
                           const PathEvalOptions& options) {
   RQ_RETURN_IF_ERROR(query.Validate());
+  // Atom relations and the join's answer are charged to `graph`, once
+  // each, as they are built.
+  MemScope mem_scope(MemSubsystem::kGraph);
   // Instantiate each distinct 2RPQ as a binary relation (phase one), then
   // join (phase two). Every atom runs over the same shared snapshot.
   std::unordered_map<const Regex*, Relation> cache;
-  std::vector<MatchAtom> atoms;
-  std::vector<std::vector<VarId>> var_lists;
-  var_lists.reserve(query.atoms.size());
   for (const CrpqAtom& atom : query.atoms) {
     RQ_RETURN_IF_ERROR(CheckExecContext());
-    auto it = cache.find(atom.regex.get());
-    if (it == cache.end()) {
-      Relation rel(2);
-      for (const auto& [x, y] : EvalPathQuery(snapshot, *atom.regex,
-                                              options)) {
-        rel.Insert({x, y});
-      }
-      it = cache.emplace(atom.regex.get(), std::move(rel)).first;
-    }
-    var_lists.push_back({atom.from, atom.to});
+    if (cache.contains(atom.regex.get())) continue;
+    std::vector<std::pair<NodeId, NodeId>> pairs =
+        EvalPathQuery(snapshot, *atom.regex, options);
+    // Product-BFS stops early on a trip and returns a partial answer; the
+    // poll right after it reports the trip instead of joining the partial
+    // relation.
+    RQ_RETURN_IF_ERROR(CheckExecContext());
+    Relation rel(2);
+    rel.Reserve(pairs.size());
+    for (const auto& [x, y] : pairs) rel.Insert({x, y});
+    MemCharge(static_cast<int64_t>(rel.size() * RelationRowBytes(2)));
+    cache.emplace(atom.regex.get(), std::move(rel));
   }
-  size_t i = 0;
+  std::vector<MatchAtom> atoms;
+  atoms.reserve(query.atoms.size());
   for (const CrpqAtom& atom : query.atoms) {
-    atoms.push_back({&cache.at(atom.regex.get()), var_lists[i++]});
+    atoms.push_back({&cache.at(atom.regex.get()), {atom.from, atom.to}});
   }
   Relation out(query.head.size());
+  Tuple head(query.head.size());
   MatchConjunction(atoms, query.num_vars,
                    [&](const std::vector<Value>& binding) {
-                     Tuple t;
-                     t.reserve(query.head.size());
-                     for (VarId v : query.head) t.push_back(binding[v]);
-                     out.Insert(t);
+                     for (size_t i = 0; i < head.size(); ++i) {
+                       head[i] = binding[query.head[i]];
+                     }
+                     out.Insert(head);
                      return true;
                    });
+  MemCharge(static_cast<int64_t>(out.size() * RelationRowBytes(out.arity())));
+  RQ_RETURN_IF_ERROR(CheckExecContext());
   return out;
 }
 
@@ -246,9 +253,13 @@ Result<Relation> EvalUc2Rpq(const GraphSnapshot& snapshot,
   Relation out(query.disjuncts[0].head.size());
   for (const Crpq& q : query.disjuncts) {
     RQ_ASSIGN_OR_RETURN(Relation part, EvalCrpq(snapshot, q, options));
-    out.InsertAll(part);
+    if (out.empty()) {
+      out = std::move(part);
+    } else {
+      out.InsertAll(part);
+    }
   }
-  timer.Finish(obs::kFlightVerdictOk, out.tuples().size());
+  timer.Finish(obs::kFlightVerdictOk, out.size());
   return out;
 }
 

@@ -12,21 +12,15 @@ namespace rq {
 
 namespace {
 
-// A stored tuple lives twice (insertion-order vector + membership set);
-// the set node costs roughly two pointers plus the hash.
-int64_t TupleBytes(size_t arity) {
-  return static_cast<int64_t>(
-      2 * (sizeof(Tuple) + arity * sizeof(Value)) + 32);
-}
-
 // Applies one rule, reading body atom i from `sources[i]` and inserting new
-// head tuples into `out` (only tuples absent from `existing`). Returns the
-// number of new tuples. Polls the installed ExecContext per candidate
-// binding; a trip lands in `*stop` and aborts the join early.
+// head tuples into `out` (only tuples absent from `existing`, which may be
+// `out` itself). Returns the number of new tuples. The matcher polls the installed ExecContext per
+// candidate binding and stops the join on a trip; the caller polls the
+// latched verdict right after.
 size_t ApplyRule(const DatalogRule& rule,
                  const std::vector<const Relation*>& sources,
                  const Relation& existing, Relation* out,
-                 DatalogEvalStats* stats, Status* stop) {
+                 DatalogEvalStats* stats) {
   std::vector<MatchAtom> atoms;
   atoms.reserve(rule.body.size());
   for (size_t i = 0; i < rule.body.size(); ++i) {
@@ -34,72 +28,78 @@ size_t ApplyRule(const DatalogRule& rule,
     atoms.push_back({sources[i], rule.body[i].vars});
   }
   size_t added = 0;
+  Tuple head(rule.head.vars.size());
   MatchConjunction(atoms, rule.num_vars,
                    [&](const std::vector<Value>& binding) {
-                     if (Status s = CheckExecContext(); !s.ok()) {
-                       *stop = std::move(s);
-                       return false;
+                     ++stats->tuples_considered;
+                     for (size_t i = 0; i < head.size(); ++i) {
+                       head[i] = binding[rule.head.vars[i]];
                      }
-                     if (stats != nullptr) ++stats->tuples_considered;
-                     Tuple t;
-                     t.reserve(rule.head.vars.size());
-                     for (VarId v : rule.head.vars) t.push_back(binding[v]);
-                     if (!existing.Contains(t) && out->Insert(t)) {
+                     if ((out == &existing || !existing.Contains(head)) &&
+                         out->Insert(head)) {
                        ++added;
-                       MemCharge(TupleBytes(t.size()));
                      }
                      return true;
                    });
-  if (stats != nullptr) ++stats->rule_applications;
+  ++stats->rule_applications;
+  MemCharge(static_cast<int64_t>(added * RelationRowBytes(head.size())));
   return added;
 }
 
-// Fixpoint body; the public EvalDatalogProgram wraps it with flight
-// recording so timeouts and errors record their verdict.
-Result<Database> EvalDatalogProgramImpl(const DatalogProgram& program,
-                                        const Database& edb,
-                                        DatalogEvalMode mode,
-                                        DatalogEvalStats* stats) {
+// Adds the rows of `fresh` to `rel` and charges the ones it added.
+void Flush(const Relation& fresh, Relation* rel) {
+  MemCharge(static_cast<int64_t>(rel->InsertAll(fresh) *
+                                 RelationRowBytes(rel->arity())));
+}
+
+// Fixpoint body; EvalDatalogGoal wraps it with flight recording so
+// timeouts and errors record their verdict.
+Result<Relation> EvalDatalogGoalImpl(const DatalogProgram& program,
+                                     const Database& edb,
+                                     DatalogEvalMode mode,
+                                     DatalogEvalStats* stats) {
   RQ_TRACE_SPAN_VAR(span, "datalog.eval");
   // Fact stores and per-round delta relations are the fixpoint's memory;
-  // ApplyRule charges every derived tuple and the InsertAll flushes below
-  // charge the copies kept in the head relations.
+  // ApplyRule charges every rule application's derived tuples and Flush
+  // the copies kept in the head relations.
   MemScope mem_scope(MemSubsystem::kDatalog);
+  if (program.goal() == kInvalidPred) {
+    return InvalidArgumentError("program has no goal predicate");
+  }
   RQ_RETURN_IF_ERROR(program.Validate());
-  DatalogEvalStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
   *stats = DatalogEvalStats();
 
-  // Working database: copy of EDB plus empty IDB relations.
-  Database db;
-  for (const std::string& name : edb.RelationNames()) {
-    const Relation* rel = edb.Find(name);
-    RQ_ASSIGN_OR_RETURN(Relation * copy, db.GetOrCreate(name, rel->arity()));
-    copy->InsertAll(*rel);
-    MemCharge(TupleBytes(rel->arity()) *
-              static_cast<int64_t>(rel->size()));
-  }
+  // The relation each predicate's body atoms read: IDB predicates own
+  // theirs in `idb`; EDB predicates are read in place from `edb` (absent
+  // ones are null, i.e. empty).
+  const size_t num_preds = program.num_predicates();
+  std::vector<bool> is_idb(num_preds, false);
   for (PredId p : program.IdbPredicates()) {
     if (edb.Find(program.PredicateName(p)) != nullptr) {
       return InvalidArgumentError("IDB predicate " +
                                   program.PredicateName(p) +
                                   " also present in the EDB");
     }
-    RQ_RETURN_IF_ERROR(db.GetOrCreate(program.PredicateName(p),
-                                      program.PredicateArity(p))
-                           .status());
+    is_idb[p] = true;
   }
-  // EDB predicates used by the program but missing from the given database
-  // are empty relations.
-  for (PredId p = 0; p < program.num_predicates(); ++p) {
-    RQ_RETURN_IF_ERROR(
-        db.GetOrCreate(program.PredicateName(p), program.PredicateArity(p))
-            .status());
+  std::vector<Relation> idb;
+  idb.reserve(num_preds);
+  std::vector<const Relation*> rel_of(num_preds, nullptr);
+  for (PredId p = 0; p < num_preds; ++p) {
+    idb.emplace_back(is_idb[p] ? program.PredicateArity(p) : 0);
+    if (is_idb[p]) {
+      rel_of[p] = &idb[p];  // stable: `idb` never reallocates
+      continue;
+    }
+    const Relation* rel = edb.Find(program.PredicateName(p));
+    if (rel != nullptr && rel->arity() != program.PredicateArity(p)) {
+      return InvalidArgumentError(
+          "relation " + program.PredicateName(p) + " has arity " +
+          std::to_string(rel->arity()) + ", requested " +
+          std::to_string(program.PredicateArity(p)));
+    }
+    rel_of[p] = rel;
   }
-
-  auto rel_of = [&](PredId p) {
-    return db.FindMutable(program.PredicateName(p));
-  };
 
   std::vector<DatalogProgram::Scc> sccs = program.DependencySccs();
   std::vector<uint32_t> scc_of(program.num_predicates(), 0);
@@ -107,7 +107,6 @@ Result<Database> EvalDatalogProgramImpl(const DatalogProgram& program,
     for (PredId p : sccs[i].predicates) scc_of[p] = i;
   }
 
-  Status stop;  // set by ApplyRule when the installed ExecContext trips
   for (uint32_t scc_index = 0; scc_index < sccs.size(); ++scc_index) {
     RQ_RETURN_IF_ERROR(CheckExecContext());
     const DatalogProgram::Scc& scc = sccs[scc_index];
@@ -133,15 +132,13 @@ Result<Database> EvalDatalogProgramImpl(const DatalogProgram& program,
       for (const DatalogRule* rule : rules) {
         std::vector<const Relation*> sources;
         for (const DatalogAtom& atom : rule->body) {
-          sources.push_back(rel_of(atom.predicate));
+          sources.push_back(rel_of[atom.predicate]);
         }
-        Relation* head_rel = rel_of(rule->head.predicate);
-        Relation fresh(head_rel->arity());
+        // No body atom reads the head, so derivations land in it directly.
+        Relation* head_rel = &idb[rule->head.predicate];
         stats->tuples_derived +=
-            ApplyRule(*rule, sources, *head_rel, &fresh, stats, &stop);
-        RQ_RETURN_IF_ERROR(stop);
-        MemCharge(TupleBytes(head_rel->arity()) *
-                  static_cast<int64_t>(head_rel->InsertAll(fresh)));
+            ApplyRule(*rule, sources, *head_rel, head_rel, stats);
+        RQ_RETURN_IF_ERROR(CheckExecContext());
       }
       ++stats->rounds;
       continue;
@@ -163,19 +160,17 @@ Result<Database> EvalDatalogProgramImpl(const DatalogProgram& program,
         for (const DatalogRule* rule : rules) {
           std::vector<const Relation*> sources;
           for (const DatalogAtom& atom : rule->body) {
-            sources.push_back(rel_of(atom.predicate));
+            sources.push_back(rel_of[atom.predicate]);
           }
           int hd = scc_pred_index(rule->head.predicate);
-          added += ApplyRule(*rule, sources, *rel_of(rule->head.predicate),
-                             &fresh[hd], stats, &stop);
-          RQ_RETURN_IF_ERROR(stop);
+          added += ApplyRule(*rule, sources, idb[rule->head.predicate],
+                             &fresh[hd], stats);
+          RQ_RETURN_IF_ERROR(CheckExecContext());
         }
         stats->tuples_derived += added;
         if (added == 0) break;
         for (size_t i = 0; i < scc_preds.size(); ++i) {
-          Relation* rel = rel_of(scc_preds[i]);
-          MemCharge(TupleBytes(rel->arity()) *
-                    static_cast<int64_t>(rel->InsertAll(fresh[i])));
+          Flush(fresh[i], &idb[scc_preds[i]]);
         }
       }
       continue;
@@ -192,19 +187,16 @@ Result<Database> EvalDatalogProgramImpl(const DatalogProgram& program,
     for (const DatalogRule* rule : rules) {
       std::vector<const Relation*> sources;
       for (const DatalogAtom& atom : rule->body) {
-        sources.push_back(rel_of(atom.predicate));
+        sources.push_back(rel_of[atom.predicate]);
       }
-      Relation* head_rel = rel_of(rule->head.predicate);
       int di = scc_pred_index(rule->head.predicate);
-      seed_added +=
-          ApplyRule(*rule, sources, *head_rel, &delta[di], stats, &stop);
-      RQ_RETURN_IF_ERROR(stop);
+      seed_added += ApplyRule(*rule, sources, idb[rule->head.predicate],
+                              &delta[di], stats);
+      RQ_RETURN_IF_ERROR(CheckExecContext());
     }
     stats->tuples_derived += seed_added;
     for (size_t i = 0; i < scc_preds.size(); ++i) {
-      Relation* rel = rel_of(scc_preds[i]);
-      MemCharge(TupleBytes(rel->arity()) *
-                static_cast<int64_t>(rel->InsertAll(delta[i])));
+      Flush(delta[i], &idb[scc_preds[i]]);
     }
     // An empty seed delta already confirms the fixpoint: every delta-bound
     // rule application below would join against an empty relation. Skipping
@@ -230,22 +222,19 @@ Result<Database> EvalDatalogProgramImpl(const DatalogProgram& program,
             if (j == i) {
               sources.push_back(&delta[di]);
             } else {
-              sources.push_back(rel_of(rule->body[j].predicate));
+              sources.push_back(rel_of[rule->body[j].predicate]);
             }
           }
-          Relation* head_rel = rel_of(rule->head.predicate);
           int hd = scc_pred_index(rule->head.predicate);
-          added += ApplyRule(*rule, sources, *head_rel, &next_delta[hd],
-                             stats, &stop);
-          RQ_RETURN_IF_ERROR(stop);
+          added += ApplyRule(*rule, sources, idb[rule->head.predicate],
+                             &next_delta[hd], stats);
+          RQ_RETURN_IF_ERROR(CheckExecContext());
         }
       }
       stats->tuples_derived += added;
       if (added == 0) break;
       for (size_t i = 0; i < scc_preds.size(); ++i) {
-        Relation* rel = rel_of(scc_preds[i]);
-        MemCharge(TupleBytes(rel->arity()) *
-                  static_cast<int64_t>(rel->InsertAll(next_delta[i])));
+        Flush(next_delta[i], &idb[scc_preds[i]]);
       }
       delta = std::move(next_delta);
     }
@@ -263,36 +252,27 @@ Result<Database> EvalDatalogProgramImpl(const DatalogProgram& program,
   counters.rounds_per_eval.Record(stats->rounds);
   span.AddAttr("rounds", stats->rounds);
   span.AddAttr("tuples_considered", stats->tuples_considered);
-  return db;
+  // The goal's relation leaves by move; an EDB goal answers with a copy of
+  // its stored relation.
+  PredId goal = program.goal();
+  if (is_idb[goal]) return std::move(idb[goal]);
+  if (rel_of[goal] != nullptr) return *rel_of[goal];
+  return Relation(program.PredicateArity(goal));
 }
 
 }  // namespace
 
-Result<Database> EvalDatalogProgram(const DatalogProgram& program,
-                                    const Database& edb, DatalogEvalMode mode,
-                                    DatalogEvalStats* stats) {
+Result<Relation> EvalDatalogGoal(const DatalogProgram& program,
+                                 const Database& edb, DatalogEvalMode mode,
+                                 DatalogEvalStats* stats) {
   obs::FlightTimer timer(obs::QueryKind::kDatalogEval);
   DatalogEvalStats local_stats;
   if (stats == nullptr) stats = &local_stats;
-  Result<Database> result =
-      EvalDatalogProgramImpl(program, edb, mode, stats);
+  Result<Relation> result = EvalDatalogGoalImpl(program, edb, mode, stats);
   timer.Finish(result.ok() ? obs::kFlightVerdictOk
                            : obs::FlightVerdictFromError(result.status()),
                stats->rounds);
   return result;
-}
-
-Result<Relation> EvalDatalogGoal(const DatalogProgram& program,
-                                 const Database& edb, DatalogEvalMode mode,
-                                 DatalogEvalStats* stats) {
-  if (program.goal() == kInvalidPred) {
-    return InvalidArgumentError("program has no goal predicate");
-  }
-  RQ_ASSIGN_OR_RETURN(Database db, EvalDatalogProgram(program, edb, mode,
-                                                      stats));
-  const Relation* rel = db.Find(program.PredicateName(program.goal()));
-  RQ_CHECK(rel != nullptr);
-  return *rel;
 }
 
 }  // namespace rq

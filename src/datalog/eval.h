@@ -42,13 +42,12 @@ struct DatalogEvalStats {
   uint64_t tuples_derived = 0;    // new tuples added
 };
 
-// Evaluates the program over `edb`. Returns a database holding the EDB
-// relations plus one relation per IDB predicate. `stats` is optional.
-Result<Database> EvalDatalogProgram(const DatalogProgram& program,
-                                    const Database& edb, DatalogEvalMode mode,
-                                    DatalogEvalStats* stats = nullptr);
-
-// Convenience: evaluates and returns the goal predicate's relation.
+// Evaluates the program over `edb` and returns the goal predicate's
+// relation. EDB relations are read in place: the evaluation builds only
+// the IDB relations, moves the goal's out, and answers an EDB goal with
+// its stored relation. `edb` may not hold an IDB predicate, and is only
+// read (a relation's first probe builds its column index, so share `edb`
+// across threads only after Database::BuildIndexes). `stats` is optional.
 Result<Relation> EvalDatalogGoal(const DatalogProgram& program,
                                  const Database& edb,
                                  DatalogEvalMode mode =

@@ -59,7 +59,7 @@ enum class QueryKind : uint8_t {
   kGraphEval,           // EvalPathQueryFromSources (multi-source BFS)
   kUc2RpqEval,          // EvalUc2Rpq
   kRqEval,              // EvalRqQuery
-  kDatalogEval,         // EvalDatalogProgram
+  kDatalogEval,         // EvalDatalogGoal
 };
 const char* QueryKindName(QueryKind kind);
 

@@ -152,7 +152,17 @@ std::vector<std::pair<NodeId, NodeId>> EvalPathQueryNfa(
   std::iota(sources.begin(), sources.end(), NodeId{0});
   std::vector<std::vector<NodeId>> answers =
       EvalPathQueryFromSources(snapshot, input, sources, options);
+  // The answer is charged to `graph` once, when its pair array is
+  // allocated: per-source lists plus pairs. A trip (this charge or one
+  // during the search) leaves the pairs unbuilt; callers poll the context.
+  MemScope mem_scope(MemSubsystem::kGraph);
+  size_t total = 0;
+  for (const std::vector<NodeId>& a : answers) total += a.size();
+  MemCharge(static_cast<int64_t>(
+      total * (sizeof(NodeId) + sizeof(std::pair<NodeId, NodeId>))));
   std::vector<std::pair<NodeId, NodeId>> out;
+  if (ExecStopRequested()) return out;
+  out.reserve(total);
   for (size_t x = 0; x < answers.size(); ++x) {
     for (NodeId y : answers[x]) out.emplace_back(static_cast<NodeId>(x), y);
   }

@@ -61,8 +61,10 @@ std::vector<std::vector<NodeId>> EvalPathQueryFromSources(
     const GraphSnapshot& snapshot, const Nfa& nfa,
     const std::vector<NodeId>& sources, const PathEvalOptions& options = {});
 
-// The full answer set, sorted by (x, y). All-pairs semantics = the
-// multi-source evaluation from every node.
+// The full answer set, sorted by (x, y) and duplicate-free. All-pairs
+// semantics = the multi-source evaluation from every node. The answer is
+// charged to the installed context's `graph` pot; when the context trips,
+// the result is partial or empty and the caller's next poll reports it.
 std::vector<std::pair<NodeId, NodeId>> EvalPathQuery(
     const GraphSnapshot& snapshot, const Regex& regex,
     const PathEvalOptions& options = {});

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "common/deadline.h"
+#include "common/mem.h"
 #include "common/strings.h"
 #include "obs/subsystems.h"
 #include "obs/trace.h"
@@ -119,6 +121,8 @@ std::string UnionOfConjunctiveQueries::ToString() const {
 
 Result<Relation> EvalCq(const Database& db, const ConjunctiveQuery& query) {
   RQ_RETURN_IF_ERROR(query.Validate());
+  // The answer is charged once, to `rq` (relational intermediates).
+  MemScope mem_scope(MemSubsystem::kRq);
   Relation out(query.arity());
   // Any atom over a missing relation makes the query empty.
   std::vector<MatchAtom> atoms;
@@ -132,14 +136,17 @@ Result<Relation> EvalCq(const Database& db, const ConjunctiveQuery& query) {
     }
     atoms.push_back({rel, atom.vars});
   }
+  Tuple head(query.head.size());
   MatchConjunction(atoms, query.num_vars,
                    [&](const std::vector<Value>& binding) {
-                     Tuple t;
-                     t.reserve(query.head.size());
-                     for (VarId v : query.head) t.push_back(binding[v]);
-                     out.Insert(t);
+                     for (size_t i = 0; i < head.size(); ++i) {
+                       head[i] = binding[query.head[i]];
+                     }
+                     out.Insert(head);
                      return true;
                    });
+  MemCharge(static_cast<int64_t>(out.size() * RelationRowBytes(out.arity())));
+  RQ_RETURN_IF_ERROR(CheckExecContext());
   return out;
 }
 
@@ -149,7 +156,11 @@ Result<Relation> EvalUcq(const Database& db,
   Relation out(query.disjuncts[0].arity());
   for (const ConjunctiveQuery& q : query.disjuncts) {
     RQ_ASSIGN_OR_RETURN(Relation part, EvalCq(db, q));
-    out.InsertAll(part);
+    if (out.empty()) {
+      out = std::move(part);
+    } else {
+      out.InsertAll(part);
+    }
   }
   return out;
 }
@@ -201,6 +212,7 @@ Result<std::optional<std::vector<Value>>> CqContainmentWitness(
                      witness = binding;
                      return false;  // first homomorphism suffices
                    });
+  RQ_RETURN_IF_ERROR(CheckExecContext());
   return witness;
 }
 

@@ -41,7 +41,7 @@ void IncrementalClosure::ReleaseCharge() {
 }
 
 void IncrementalClosure::SettleCharge() {
-  size_t now = (base_.size() + closure_.size()) * kApproxClosurePairBytes;
+  size_t now = (base_.size() + closure_.size()) * RelationRowBytes(2);
   if (now != mem_bytes_) {
     MemChargeDurable(MemSubsystem::kIncr, static_cast<int64_t>(now) -
                                               static_cast<int64_t>(mem_bytes_));
@@ -73,12 +73,12 @@ Result<ClosureDelta> IncrementalClosure::AddEdge(Value x, Value y,
   // Sources: everything reaching x, plus x itself.
   std::vector<Value> sources{x};
   for (uint32_t row : closure_.RowsWithValue(1, x)) {
-    sources.push_back(closure_.tuples()[row][0]);
+    sources.push_back(closure_.row(row)[0]);
   }
   // Targets: everything reachable from y, plus y itself.
   std::vector<Value> targets{y};
   for (uint32_t row : closure_.RowsWithValue(0, y)) {
-    targets.push_back(closure_.tuples()[row][1]);
+    targets.push_back(closure_.row(row)[1]);
   }
   MemCharge(static_cast<int64_t>((sources.size() + targets.size()) *
                                  sizeof(Value)));
@@ -97,6 +97,7 @@ Result<ClosureDelta> IncrementalClosure::AddEdge(Value x, Value y,
   }
   ClosureDelta delta;
   for (Value a : sources) {
+    size_t added = 0;
     for (Value b : targets) {
       // Deadline + memory budget poll on the product loop: worst case this
       // is O(V^2) inserts for one edge (common/deadline.h amortizes the
@@ -105,11 +106,11 @@ Result<ClosureDelta> IncrementalClosure::AddEdge(Value x, Value y,
         SettleCharge();
         return s;
       }
-      if (closure_.Insert({a, b})) {
-        ++delta.pairs_added;
-        MemCharge(static_cast<int64_t>(kApproxClosurePairBytes));
-      }
+      if (closure_.Insert({a, b})) ++added;
     }
+    // One charge per source row of the product: the pairs it added.
+    delta.pairs_added += added;
+    MemCharge(static_cast<int64_t>(added * RelationRowBytes(2)));
   }
   SettleCharge();
   return delta;

@@ -16,10 +16,12 @@
 // resource contract as every other long-running loop here: it polls
 // CheckExecContext() (deadline + memory budget, common/deadline.h) and
 // charges its working set and retained pairs under MemScope /
-// MemSubsystem::kIncr (common/mem.h). Callers may additionally bound the
-// product itself with max_delta_product; a blown bound comes back as
-// over_budget = true rather than an error, leaving the caller to fall back
-// to a from-scratch evaluation.
+// MemSubsystem::kIncr (common/mem.h), at RelationRowBytes(2) per stored
+// pair (relational/relation.h): the durable mem.incr_bytes charge covers
+// base plus closure. Callers may additionally bound the product itself
+// with max_delta_product; a blown bound comes back as over_budget = true
+// rather than an error, leaving the caller to fall back to a from-scratch
+// evaluation.
 #ifndef RQ_RELATIONAL_INCREMENTAL_H_
 #define RQ_RELATIONAL_INCREMENTAL_H_
 
@@ -31,11 +33,6 @@
 #include "relational/relation.h"
 
 namespace rq {
-
-// Rough retained heap cost of one closure pair (two Tuple copies — the
-// insertion-ordered vector and the membership set — plus a hash slot);
-// what the durable mem.incr_bytes charge and callers' budget math use.
-inline constexpr size_t kApproxClosurePairBytes = 112;
 
 // What one AddEdge did to the closure.
 struct ClosureDelta {

@@ -1,10 +1,24 @@
 #include "relational/matcher.h"
 
 #include <algorithm>
+#include <utility>
+
+#include "common/deadline.h"
 
 namespace rq {
 
 namespace {
+
+// What one recursion level does with every candidate row of its atom.
+// The variables the atom binds, the columns it checks, and the bound-count
+// bumps those bindings cause are the same for every row, so they are
+// worked out once per atom pick. Levels keep their vectors across calls,
+// so a search allocates nothing per row.
+struct Level {
+  std::vector<std::pair<size_t, VarId>> binds;   // (column, free variable)
+  std::vector<std::pair<size_t, VarId>> checks;  // (column, bound variable)
+  std::vector<std::pair<size_t, uint32_t>> saved_counts;  // (atom, count)
+};
 
 struct SearchState {
   const std::vector<MatchAtom>* atoms;
@@ -12,6 +26,7 @@ struct SearchState {
   std::vector<bool> used;            // atom already matched
   std::vector<Value> binding;        // per var, kUnboundValue if free
   std::vector<uint32_t> bound_count; // per atom, number of bound vars
+  std::vector<Level> levels;         // per recursion depth
   const std::function<bool(const std::vector<Value>&)>* on_match;
   size_t matches = 0;
   bool stopped = false;
@@ -39,85 +54,85 @@ int PickAtom(const SearchState& st) {
   return best;
 }
 
-void Recurse(SearchState& st) {
-  if (st.stopped) return;
+void Recurse(SearchState& st, size_t depth) {
   int pick = PickAtom(st);
   if (pick < 0) {
+    // The one poll site of every join (CQ, C2RPQ, RQ, Datalog): a trip
+    // latches on the installed context, stops the search, and the
+    // Status-returning caller reports it.
+    if (!CheckExecContext().ok()) {
+      st.stopped = true;
+      return;
+    }
     ++st.matches;
     if (!(*st.on_match)(st.binding)) st.stopped = true;
     return;
   }
   const MatchAtom& atom = (*st.atoms)[pick];
-  st.used[pick] = true;
+  const Relation& relation = *atom.relation;
+  Level& level = st.levels[depth];
+  level.binds.clear();
+  level.checks.clear();
+  level.saved_counts.clear();
 
-  // Candidate rows: restrict by the first bound column if any.
-  const std::vector<Tuple>& tuples = atom.relation->tuples();
-  const std::vector<uint32_t>* rows = nullptr;
-  int bound_col = -1;
+  // Candidate rows: restrict by the first bound column if any. Every other
+  // column either binds a free variable (its first occurrence) or must
+  // equal the variable's value (bound earlier, or repeated in this atom).
+  int probe_col = -1;
   for (size_t c = 0; c < atom.vars.size(); ++c) {
-    if (st.binding[atom.vars[c]] != kUnboundValue) {
-      bound_col = static_cast<int>(c);
-      break;
+    VarId v = atom.vars[c];
+    if (st.binding[v] != kUnboundValue) {
+      if (probe_col < 0) {
+        probe_col = static_cast<int>(c);
+      } else {
+        level.checks.emplace_back(c, v);
+      }
+    } else if (std::find(atom.vars.begin(), atom.vars.begin() + c, v) ==
+               atom.vars.begin() + c) {
+      level.binds.emplace_back(c, v);
+    } else {
+      level.checks.emplace_back(c, v);
     }
-  }
-  std::vector<uint32_t> all_rows;
-  if (bound_col >= 0) {
-    rows = &atom.relation->RowsWithValue(
-        static_cast<size_t>(bound_col),
-        st.binding[atom.vars[static_cast<size_t>(bound_col)]]);
-  } else {
-    all_rows.resize(tuples.size());
-    for (uint32_t i = 0; i < tuples.size(); ++i) all_rows[i] = i;
-    rows = &all_rows;
   }
 
-  for (uint32_t row : *rows) {
-    if (st.stopped) break;
-    const Tuple& tuple = tuples[row];
-    // Try to extend the binding with this tuple.
-    std::vector<VarId> newly_bound;
-    bool ok = true;
-    for (size_t c = 0; c < atom.vars.size(); ++c) {
-      VarId v = atom.vars[c];
-      if (st.binding[v] == kUnboundValue) {
-        st.binding[v] = tuple[c];
-        newly_bound.push_back(v);
-        // A repeated variable bound later in this same tuple must agree;
-        // the check below handles it because binding[v] is now set.
-      } else if (st.binding[v] != tuple[c]) {
-        ok = false;
-        break;
+  st.used[pick] = true;
+  for (size_t i = 0; i < st.atoms->size() && !level.binds.empty(); ++i) {
+    if (st.used[i]) continue;
+    uint32_t add = 0;
+    for (VarId v : (*st.atoms)[i].vars) {
+      for (const auto& bind : level.binds) {
+        if (v == bind.second) ++add;
       }
     }
-    if (ok) {
-      // Update bound counts for remaining atoms.
-      std::vector<std::pair<size_t, uint32_t>> saved_counts;
-      if (!newly_bound.empty()) {
-        for (size_t i = 0; i < st.atoms->size(); ++i) {
-          if (st.used[i]) continue;
-          uint32_t add = 0;
-          for (VarId v : (*st.atoms)[i].vars) {
-            for (VarId nb : newly_bound) {
-              if (v == nb) ++add;
-            }
-          }
-          if (add > 0) {
-            saved_counts.emplace_back(i, st.bound_count[i]);
-            st.bound_count[i] += add;
-          }
-        }
-      }
-      Recurse(st);
-      for (auto& [i, old] : saved_counts) st.bound_count[i] = old;
+    if (add > 0) {
+      level.saved_counts.emplace_back(i, st.bound_count[i]);
+      st.bound_count[i] += add;
     }
-    for (VarId v : newly_bound) st.binding[v] = kUnboundValue;
   }
+
+  auto try_row = [&](const Value* row) {
+    for (const auto& [c, v] : level.binds) st.binding[v] = row[c];
+    for (const auto& [c, v] : level.checks) {
+      if (st.binding[v] != row[c]) return;
+    }
+    Recurse(st, depth + 1);
+  };
+  if (probe_col >= 0) {
+    const size_t col = static_cast<size_t>(probe_col);
+    for (uint32_t row : relation.RowsWithValue(col, st.binding[atom.vars[col]])) {
+      if (st.stopped) break;
+      try_row(relation.row(row).data());
+    }
+  } else {
+    for (size_t row = 0, n = relation.size(); row < n && !st.stopped; ++row) {
+      try_row(relation.row(row).data());
+    }
+  }
+
+  for (const auto& bind : level.binds) st.binding[bind.second] = kUnboundValue;
+  for (const auto& [i, old] : level.saved_counts) st.bound_count[i] = old;
   st.used[pick] = false;
 }
-
-}  // namespace
-
-namespace {
 
 size_t MatchImpl(const std::vector<MatchAtom>& atoms, uint32_t num_vars,
                  const std::function<bool(const std::vector<Value>&)>&
@@ -134,8 +149,9 @@ size_t MatchImpl(const std::vector<MatchAtom>& atoms, uint32_t num_vars,
   st.used.assign(atoms.size(), false);
   st.binding.assign(num_vars, kUnboundValue);
   st.bound_count.assign(atoms.size(), 0);
+  st.levels.resize(atoms.size());
   st.on_match = &on_match;
-  Recurse(st);
+  Recurse(st, 0);
   return st.matches;
 }
 

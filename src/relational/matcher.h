@@ -27,9 +27,11 @@ struct MatchAtom {
 };
 
 // Invokes `on_match` for every satisfying assignment (indexed by VarId,
-// size num_vars). Variables pre-bound in `binding` (entries != kUnbound) are
-// respected. Returns the number of matches, or stops early (and returns the
-// count so far) once `on_match` returns false.
+// size num_vars). Returns the number of matches, or stops early (and
+// returns the count so far) once `on_match` returns false. Every match
+// first polls the installed ExecContext (common/deadline.h); a deadline,
+// cancellation or budget trip stops the search the same way, and since
+// the verdict latches, the caller's next CheckExecContext() reports it.
 inline constexpr Value kUnboundValue = 0xffffffffffffffffULL;
 
 size_t MatchConjunction(const std::vector<MatchAtom>& atoms, uint32_t num_vars,
@@ -44,7 +46,8 @@ size_t MatchConjunctionInOrder(
     const std::vector<MatchAtom>& atoms, uint32_t num_vars,
     const std::function<bool(const std::vector<Value>&)>& on_match);
 
-// Convenience: true if at least one satisfying assignment exists.
+// Convenience: true if at least one satisfying assignment exists. False as
+// well when the installed context trips first; poll it to tell apart.
 bool ConjunctionSatisfiable(const std::vector<MatchAtom>& atoms,
                             uint32_t num_vars);
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 
+#include "common/deadline.h"
+#include "common/mem.h"
 #include "obs/flight_recorder.h"
 #include "obs/subsystems.h"
 #include "obs/trace.h"
@@ -20,22 +22,46 @@ Result<size_t> FindColumn(const std::vector<VarId>& vars, VarId v) {
   return static_cast<size_t>(it - vars.begin());
 }
 
+namespace {
+
+// Charges an operator's result rows, once, to the query's `rq` scope, and
+// reports a trip latched by the operator's loops or by this charge.
+Status ChargeRows(const Relation& relation) {
+  MemCharge(static_cast<int64_t>(relation.size() *
+                                 RelationRowBytes(relation.arity())));
+  return CheckExecContext();
+}
+
+}  // namespace
+
 Relation BinaryTransitiveClosure(const Relation& base) {
   RQ_CHECK(base.arity() == 2);
+  MemScope mem_scope(MemSubsystem::kRq);
+  // Semi-naive: each round joins the previous round's new pairs with the
+  // base. New pairs are appended to `total`, so a round's delta is the row
+  // range it appended.
   Relation total(2);
   total.InsertAll(base);
-  Relation delta(2);
-  delta.InsertAll(base);
-  while (!delta.empty()) {
-    Relation next(2);
-    for (const Tuple& t : delta.tuples()) {
-      for (uint32_t row : base.RowsWithValue(0, t[1])) {
-        Tuple joined{t[0], base.tuples()[row][1]};
-        if (!total.Contains(joined)) next.Insert(joined);
+  size_t begin = 0;
+  bool stopped = false;
+  while (begin < total.size() && !stopped) {
+    const size_t end = total.size();
+    for (size_t i = begin; i < end; ++i) {
+      // No Status channel: on a trip, stop and return the partial closure;
+      // Status-returning callers poll the same latched context.
+      if (!CheckExecContext().ok()) {
+        stopped = true;
+        break;
+      }
+      const Value from = total.row(i)[0];
+      const Value mid = total.row(i)[1];
+      for (uint32_t row : base.RowsWithValue(0, mid)) {
+        total.Insert({from, base.row(row)[1]});
       }
     }
-    total.InsertAll(next);
-    delta = std::move(next);
+    MemCharge(static_cast<int64_t>((total.size() - end) *
+                                   RelationRowBytes(2)));
+    begin = end;
   }
   obs::RqCounters::Get().closure_tuples.Add(total.size());
   return total;
@@ -53,65 +79,80 @@ Result<RqRelation> EvalRqExpr(const Database& db, const RqExpr& e) {
         return InvalidArgumentError("RQ atom " + e.predicate() +
                                     " arity mismatch with database");
       }
-      // Column of each atom position, resolved once up front.
+      // Column of each atom position, and whether the position is its
+      // variable's first occurrence, resolved once up front.
+      const std::vector<VarId>& vars = e.atom_vars();
       std::vector<size_t> col_of_pos;
-      col_of_pos.reserve(e.atom_vars().size());
-      for (VarId v : e.atom_vars()) {
-        RQ_ASSIGN_OR_RETURN(size_t col, FindColumn(out.vars, v));
+      std::vector<bool> first;
+      col_of_pos.reserve(vars.size());
+      for (size_t i = 0; i < vars.size(); ++i) {
+        RQ_ASSIGN_OR_RETURN(size_t col, FindColumn(out.vars, vars[i]));
         col_of_pos.push_back(col);
+        first.push_back(std::find(vars.begin(), vars.begin() + i, vars[i]) ==
+                        vars.begin() + i);
       }
-      for (const Tuple& t : stored->tuples()) {
+      Tuple projected(out.vars.size());
+      for (size_t r = 0; r < stored->size(); ++r) {
         // Repeated variables filter; then project onto sorted free vars.
+        Row t = stored->row(r);
         bool ok = true;
-        Tuple projected(out.vars.size());
-        for (size_t i = 0; i < e.atom_vars().size() && ok; ++i) {
-          size_t col = col_of_pos[i];
-          // First write wins; later occurrences must agree.
-          bool first = true;
-          for (size_t j = 0; j < i; ++j) {
-            if (e.atom_vars()[j] == e.atom_vars()[i]) {
-              first = false;
-              break;
-            }
-          }
-          if (first) {
-            projected[col] = t[i];
-          } else if (projected[col] != t[i]) {
+        for (size_t i = 0; i < vars.size() && ok; ++i) {
+          if (first[i]) {
+            projected[col_of_pos[i]] = t[i];
+          } else if (projected[col_of_pos[i]] != t[i]) {
             ok = false;
           }
         }
         if (ok) out.relation.Insert(projected);
       }
+      RQ_RETURN_IF_ERROR(ChargeRows(out.relation));
       return out;
     }
     case RqExpr::Kind::kAnd: {
-      // Natural join via the generic matcher over materialized children.
+      // Natural join via the generic matcher. An atom child joins its
+      // stored relation in place (the matcher filters repeated variables
+      // and takes any column order); other children are materialized.
       std::vector<RqRelation> parts;
       parts.reserve(e.children().size());
+      std::vector<MatchAtom> atoms;
+      atoms.reserve(e.children().size());
       uint32_t num_vars = 0;
+      bool absent = false;  // an atom over a relation the database lacks
       for (const RqExprPtr& c : e.children()) {
+        if (c->kind() == RqExpr::Kind::kAtom) {
+          const Relation* stored = db.Find(c->predicate());
+          if (stored != nullptr && stored->arity() != c->atom_vars().size()) {
+            return InvalidArgumentError("RQ atom " + c->predicate() +
+                                        " arity mismatch with database");
+          }
+          absent = absent || stored == nullptr;
+          for (VarId v : c->atom_vars()) num_vars = std::max(num_vars, v + 1);
+          if (stored != nullptr) atoms.push_back({stored, c->atom_vars()});
+          continue;
+        }
         RQ_ASSIGN_OR_RETURN(RqRelation part, EvalRqExpr(db, *c));
         if (!part.vars.empty()) {
           num_vars = std::max(num_vars, part.vars.back() + 1);
         }
         parts.push_back(std::move(part));
       }
-      std::vector<MatchAtom> atoms;
-      atoms.reserve(parts.size());
       for (const RqRelation& part : parts) {
         atoms.push_back({&part.relation, part.vars});
       }
       RqRelation out;
       out.vars = e.FreeVars();
       out.relation = Relation(out.vars.size());
+      if (absent) return out;
+      Tuple projected(out.vars.size());
       MatchConjunction(atoms, num_vars,
                        [&](const std::vector<Value>& binding) {
-                         Tuple t;
-                         t.reserve(out.vars.size());
-                         for (VarId v : out.vars) t.push_back(binding[v]);
-                         out.relation.Insert(t);
+                         for (size_t i = 0; i < projected.size(); ++i) {
+                           projected[i] = binding[out.vars[i]];
+                         }
+                         out.relation.Insert(projected);
                          return true;
                        });
+      RQ_RETURN_IF_ERROR(ChargeRows(out.relation));
       return out;
     }
     case RqExpr::Kind::kOr: {
@@ -121,8 +162,13 @@ Result<RqRelation> EvalRqExpr(const Database& db, const RqExpr& e) {
       for (const RqExprPtr& c : e.children()) {
         RQ_ASSIGN_OR_RETURN(RqRelation part, EvalRqExpr(db, *c));
         // Children share the same free vars, hence the same column order.
-        out.relation.InsertAll(part.relation);
+        if (out.relation.empty()) {
+          out.relation = std::move(part.relation);
+        } else {
+          out.relation.InsertAll(part.relation);
+        }
       }
+      RQ_RETURN_IF_ERROR(ChargeRows(out.relation));
       return out;
     }
     case RqExpr::Kind::kExists: {
@@ -137,12 +183,13 @@ Result<RqRelation> EvalRqExpr(const Database& db, const RqExpr& e) {
         RQ_ASSIGN_OR_RETURN(size_t col, FindColumn(child.vars, v));
         keep.push_back(col);
       }
-      for (const Tuple& t : child.relation.tuples()) {
-        Tuple projected;
-        projected.reserve(keep.size());
-        for (size_t col : keep) projected.push_back(t[col]);
+      Tuple projected(keep.size());
+      for (size_t r = 0; r < child.relation.size(); ++r) {
+        Row t = child.relation.row(r);
+        for (size_t i = 0; i < keep.size(); ++i) projected[i] = t[keep[i]];
         out.relation.Insert(projected);
       }
+      RQ_RETURN_IF_ERROR(ChargeRows(out.relation));
       return out;
     }
     case RqExpr::Kind::kEq: {
@@ -153,9 +200,11 @@ Result<RqRelation> EvalRqExpr(const Database& db, const RqExpr& e) {
       RqRelation out;
       out.vars = child.vars;
       out.relation = Relation(out.vars.size());
-      for (const Tuple& t : child.relation.tuples()) {
+      for (size_t r = 0; r < child.relation.size(); ++r) {
+        Row t = child.relation.row(r);
         if (t[ca] == t[cb]) out.relation.Insert(t);
       }
+      RQ_RETURN_IF_ERROR(ChargeRows(out.relation));
       return out;
     }
     case RqExpr::Kind::kClosure: {
@@ -170,30 +219,39 @@ Result<RqRelation> EvalRqExpr(const Database& db, const RqExpr& e) {
       for (size_t col = 0; col < child.vars.size(); ++col) {
         if (col != cf && col != ct) param_cols.push_back(col);
       }
-      std::map<Tuple, Relation> groups;
-      for (const Tuple& t : child.relation.tuples()) {
-        Tuple params;
-        params.reserve(param_cols.size());
-        for (size_t col : param_cols) params.push_back(t[col]);
-        auto [it, inserted] = groups.try_emplace(std::move(params),
-                                                 Relation(2));
-        it->second.Insert({t[cf], t[ct]});
-      }
       RqRelation out;
       out.vars = e.FreeVars();
       out.relation = Relation(out.vars.size());
-      for (const auto& [params, oriented] : groups) {
+      if (param_cols.empty() && cf < ct) {
+        // Already oriented (from, to): close the child's relation as is.
+        out.relation = BinaryTransitiveClosure(child.relation);
+        RQ_RETURN_IF_ERROR(ChargeRows(out.relation));
+        return out;
+      }
+      std::map<Tuple, Relation> groups;
+      Tuple params(param_cols.size());
+      for (size_t r = 0; r < child.relation.size(); ++r) {
+        Row t = child.relation.row(r);
+        for (size_t i = 0; i < param_cols.size(); ++i) {
+          params[i] = t[param_cols[i]];
+        }
+        auto [it, inserted] = groups.try_emplace(params, Relation(2));
+        it->second.Insert({t[cf], t[ct]});
+      }
+      Tuple row(out.vars.size());
+      for (const auto& [group, oriented] : groups) {
         Relation closed = BinaryTransitiveClosure(oriented);
-        for (const Tuple& t : closed.tuples()) {
-          Tuple row(out.vars.size());
-          row[cf] = t[0];
-          row[ct] = t[1];
-          for (size_t i = 0; i < param_cols.size(); ++i) {
-            row[param_cols[i]] = params[i];
-          }
-          out.relation.Insert(std::move(row));
+        RQ_RETURN_IF_ERROR(CheckExecContext());
+        for (size_t i = 0; i < param_cols.size(); ++i) {
+          row[param_cols[i]] = group[i];
+        }
+        for (size_t r = 0; r < closed.size(); ++r) {
+          row[cf] = closed.row(r)[0];
+          row[ct] = closed.row(r)[1];
+          out.relation.Insert(row);
         }
       }
+      RQ_RETURN_IF_ERROR(ChargeRows(out.relation));
       return out;
     }
   }
@@ -205,22 +263,30 @@ Result<Relation> EvalRqQuery(const Database& db, const RqQuery& query) {
   RQ_TRACE_SPAN("rq.eval");
   obs::FlightTimer timer(obs::QueryKind::kRqEval);
   obs::RqCounters::Get().evals.Increment();
+  // Intermediate results are the evaluation's memory; each operator
+  // charges its result once.
+  MemScope mem_scope(MemSubsystem::kRq);
   RQ_RETURN_IF_ERROR(query.Validate());
   RQ_ASSIGN_OR_RETURN(RqRelation result, EvalRqExpr(db, *query.root));
   Relation out(query.head.size());
-  std::vector<size_t> cols;
-  cols.reserve(query.head.size());
-  for (VarId v : query.head) {
-    RQ_ASSIGN_OR_RETURN(size_t col, FindColumn(result.vars, v));
-    cols.push_back(col);
+  if (query.head == result.vars) {
+    out = std::move(result.relation);
+  } else {
+    std::vector<size_t> cols;
+    cols.reserve(query.head.size());
+    for (VarId v : query.head) {
+      RQ_ASSIGN_OR_RETURN(size_t col, FindColumn(result.vars, v));
+      cols.push_back(col);
+    }
+    Tuple projected(cols.size());
+    for (size_t r = 0; r < result.relation.size(); ++r) {
+      Row t = result.relation.row(r);
+      for (size_t i = 0; i < cols.size(); ++i) projected[i] = t[cols[i]];
+      out.Insert(projected);
+    }
+    RQ_RETURN_IF_ERROR(ChargeRows(out));
   }
-  for (const Tuple& t : result.relation.tuples()) {
-    Tuple projected;
-    projected.reserve(cols.size());
-    for (size_t col : cols) projected.push_back(t[col]);
-    out.Insert(projected);
-  }
-  timer.Finish(obs::kFlightVerdictOk, out.tuples().size());
+  timer.Finish(obs::kFlightVerdictOk, out.size());
   return out;
 }
 

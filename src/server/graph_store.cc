@@ -1,9 +1,6 @@
 #include "server/graph_store.h"
 
-#include <algorithm>
 #include <chrono>
-#include <numeric>
-#include <span>
 #include <utility>
 
 #include "cache/key.h"
@@ -23,62 +20,7 @@ uint64_t NowNanos() {
           .count());
 }
 
-bool RowLess(const Value* a, const Value* b, size_t arity) {
-  return std::lexicographical_compare(a, a + arity, b, b + arity);
-}
-
-// Flattens `tuples` first so the sort compares contiguous rows, then
-// gathers them in order.
-SortedRows SortTuples(std::span<const Tuple> tuples, size_t arity) {
-  std::vector<Value> flat;
-  flat.reserve(tuples.size() * arity);
-  for (const Tuple& tuple : tuples) {
-    flat.insert(flat.end(), tuple.begin(), tuple.end());
-  }
-  std::vector<uint32_t> order(tuples.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return RowLess(flat.data() + a * arity, flat.data() + b * arity, arity);
-  });
-  SortedRows out;
-  out.arity = arity;
-  out.rows = tuples.size();
-  out.values.reserve(flat.size());
-  for (uint32_t i : order) {
-    const Value* row = flat.data() + i * arity;
-    out.values.insert(out.values.end(), row, row + arity);
-  }
-  return out;
-}
-
-// `image` plus the pairs `closure` gained past image.size(): the new pairs
-// are sorted on their own and merged in, linear in the image. A Relation
-// holds no duplicates, so neither does the merge.
-SortedRows MergeGrowth(const SortedRows& image, const Relation& closure) {
-  SortedRows added =
-      SortTuples(std::span(closure.tuples()).subspan(image.size()),
-                 image.arity);
-  SortedRows out;
-  out.arity = image.arity;
-  out.rows = image.rows + added.rows;
-  out.values.reserve(image.values.size() + added.values.size());
-  size_t i = 0;
-  size_t j = 0;
-  while (i < image.rows || j < added.rows) {
-    bool from_image =
-        j == added.rows ||
-        (i < image.rows && RowLess(image.row(i), added.row(j), image.arity));
-    const Value* row = from_image ? image.row(i++) : added.row(j++);
-    out.values.insert(out.values.end(), row, row + image.arity);
-  }
-  return out;
-}
-
 }  // namespace
-
-SortedRows SortRows(const Relation& relation) {
-  return SortTuples(relation.tuples(), relation.arity());
-}
 
 RelationalImage::RelationalImage(std::shared_ptr<const GraphDb> graph)
     : state_(std::make_shared<State>()) {
@@ -89,6 +31,7 @@ const Database& RelationalImage::operator*() const {
   RQ_CHECK(state_ != nullptr);
   std::call_once(state_->built, [this] {
     state_->database = GraphToDatabase(*state_->graph);
+    state_->database.BuildIndexes();
   });
   return state_->database;
 }
@@ -211,9 +154,11 @@ void GraphStore::RefreshImagesLocked() {
       continue;
     }
     if (maintained->size() != it->second->size()) {
-      it->second =
-          std::make_shared<const SortedRows>(MergeGrowth(*it->second,
-                                                         *maintained));
+      // The rows the closure gained past the image are sorted on their own
+      // and merged in, linear in the image. A Relation holds no
+      // duplicates, so neither does the merge.
+      it->second = std::make_shared<const SortedRows>(MergeRows(
+          *it->second, SortRows(*maintained, it->second->size())));
       obs::IncrCounters::Get().images.Increment();
     }
     ++it;
@@ -250,14 +195,13 @@ std::shared_ptr<const SortedRows> GraphStore::LookupEval(
   return eval_cache_->Get(key);
 }
 
-std::shared_ptr<const SortedRows> GraphStore::StoreEval(
-    std::string key, const Relation& answer) {
-  SortedRows rows = SortRows(answer);
+std::shared_ptr<const SortedRows> GraphStore::StoreEval(std::string key,
+                                                       SortedRows answer) {
   if (!eval_cache_.has_value()) {
-    return std::make_shared<const SortedRows>(std::move(rows));
+    return std::make_shared<const SortedRows>(std::move(answer));
   }
-  size_t bytes = rows.values.size() * sizeof(Value);
-  return eval_cache_->Put(std::move(key), std::move(rows), bytes);
+  size_t bytes = answer.values.size() * sizeof(Value);
+  return eval_cache_->Put(std::move(key), std::move(answer), bytes);
 }
 
 std::string GraphStore::EvalCacheKey(uint64_t epoch, std::string_view cls,

@@ -26,8 +26,10 @@
 //     epoch (EvalCacheKey), so a mutation makes stale entries unreachable
 //     instead of requiring invalidation; automata-only entries
 //     (docs/CACHING.md) stay epoch-free because no graph byte enters
-//     their keys. Cached answers are stored sorted (SortedRows), so a hit
-//     renders a prefix without copying or sorting.
+//     their keys. Cached answers are stored sorted (SortedRows,
+//     relational/relation.h), so a hit renders a prefix without copying or
+//     sorting. A path answer leaves product-BFS sorted and is stored as
+//     is; other answers are sorted once.
 #ifndef RQ_SERVER_GRAPH_STORE_H_
 #define RQ_SERVER_GRAPH_STORE_H_
 
@@ -51,27 +53,12 @@
 namespace rq {
 namespace server {
 
-// An answer set sorted once, rows in lexicographic order, stored flat:
-// row i is values[i * arity, (i + 1) * arity). Closure images and cached
-// eval answers both take this shape, so a response renders a prefix of it
-// without copying or sorting.
-struct SortedRows {
-  size_t arity = 0;
-  size_t rows = 0;  // apart from values.size() so arity-0 answers count
-  std::vector<Value> values;
-
-  size_t size() const { return rows; }
-  const Value* row(size_t i) const { return values.data() + i * arity; }
-};
-
-// `relation`'s rows, sorted.
-SortedRows SortRows(const Relation& relation);
-
 // The relational image of one view's graph (rq/eval.h GraphToDatabase),
-// built on first use: the first dereference builds it, concurrent first
-// uses wait for that one build (std::call_once), and every copy of the
-// handle — every GraphView of the epoch, including SeedClosure's
-// same-epoch republish — shares the result.
+// built on first use: the first dereference builds it and every column
+// index of its relations, concurrent first uses wait for that one build
+// (std::call_once), and every copy of the handle — every GraphView of the
+// epoch, including SeedClosure's same-epoch republish — shares the
+// result. After the build, rq and datalog evals only read it.
 class RelationalImage {
  public:
   RelationalImage() = default;  // no graph: must not be dereferenced
@@ -164,12 +151,12 @@ class GraphStore {
                    Relation closure);
 
   // Epoch-keyed eval answer cache (kind "eval": cache.eval_hits / _misses /
-  // ... counters). StoreEval sorts the answer once and returns the stored
-  // rows. Lookups miss and stores pass the sorted rows through uncached
-  // when the cache is disabled.
+  // ... counters), charged 8 B per value. StoreEval takes an answer that
+  // is already sorted and returns the stored rows. Lookups miss and stores
+  // pass the rows through uncached when the cache is disabled.
   std::shared_ptr<const SortedRows> LookupEval(std::string_view key);
   std::shared_ptr<const SortedRows> StoreEval(std::string key,
-                                              const Relation& answer);
+                                              SortedRows answer);
 
   // epoch || class || '\0' || query — binds every cached answer to the
   // graph version that produced it.
@@ -196,7 +183,7 @@ class GraphStore {
   PerLabelClosure closures_;
   // One sorted image per live label, exactly the maintained closure's
   // pairs; what PublishLocked hands to new views. An image covers the
-  // first size() tuples of the closure's insertion-ordered Relation, which
+  // first size() rows of the closure's insertion-ordered Relation, which
   // only grows while the label stays live.
   ClosureMap closure_images_;
   uint64_t epoch_ = 0;

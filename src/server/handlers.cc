@@ -301,17 +301,17 @@ obs::JsonValue HandleEval(const Request& request, const HandlerContext& ctx) {
       return response;
     }
   }
-  // Sorts the computed answer once and caches it sorted (full answers
-  // only: a deadline or budget trip must surface as an error, never
-  // persist a partial answer set).
-  auto finish = [&](const Relation& out) {
+  // Caches the sorted answer (full answers only: a deadline or budget trip
+  // must surface as an error, never persist a partial answer set).
+  auto finish = [&](SortedRows out) {
     if (Status s = CheckExecContext(); !s.ok()) {
       return StatusError(request.id, s);
     }
     if (!cache_key.empty()) {
-      return render(*ctx.store->StoreEval(std::move(cache_key), out));
+      return render(*ctx.store->StoreEval(std::move(cache_key),
+                                          std::move(out)));
     }
-    return render(SortRows(out));
+    return render(out);
   };
 
   if (cls == "path") {
@@ -337,10 +337,8 @@ obs::JsonValue HandleEval(const Request& request, const HandlerContext& ctx) {
         return response;
       }
     }
-    Relation out(2);
-    for (const auto& [x, y] : EvalPathQuery(*snapshot, *q->regex)) {
-      out.Insert({x, y});
-    }
+    std::vector<std::pair<NodeId, NodeId>> pairs =
+        EvalPathQuery(*snapshot, *q->regex);
     // Path evaluation reports deadline/budget truncation through the
     // installed context, not a Status return — surface it rather than
     // answering with a silently partial set (and never seed or cache a
@@ -348,21 +346,33 @@ obs::JsonValue HandleEval(const Request& request, const HandlerContext& ctx) {
     if (Status s = CheckExecContext(); !s.ok()) {
       return StatusError(request.id, s);
     }
+    // Product-BFS returns its pairs sorted and duplicate-free: they are
+    // the stored rows as they stand.
+    SortedRows out;
+    out.arity = 2;
+    out.rows = pairs.size();
+    out.values.reserve(2 * pairs.size());
+    for (const auto& [x, y] : pairs) {
+      out.values.push_back(x);
+      out.values.push_back(y);
+    }
     if (store_backed && closure_label.has_value() && ctx.store != nullptr) {
       // First closure-shaped eval of this label: promote it to
       // incrementally maintained, seeding from this full product-BFS
       // answer (= the transitive closure of the label's edge relation).
+      // This is the one path answer that becomes a Relation.
       Relation base(2);
       for (const auto& [x, y] :
            snapshot->SymbolPairs(ForwardSymbolOf(*closure_label))) {
         base.Insert({x, y});
       }
       Relation closure(2);
-      closure.InsertAll(out);
+      closure.Reserve(pairs.size());
+      for (const auto& [x, y] : pairs) closure.Insert({x, y});
       ctx.store->SeedClosure(ctx.view, *closure_label, std::move(base),
                              std::move(closure));
     }
-    return finish(out);
+    return finish(std::move(out));
   }
   if (cls == "crpq") {
     Alphabet alphabet = graph->alphabet();
@@ -371,7 +381,7 @@ obs::JsonValue HandleEval(const Request& request, const HandlerContext& ctx) {
     auto out = store_backed ? EvalUc2Rpq(*ctx.view.snapshot, *q)
                             : EvalUc2Rpq(*graph, *q);
     if (!out.ok()) return StatusError(request.id, out.status());
-    return finish(*out);
+    return finish(SortRows(*out));
   }
   // rq / datalog evaluate over the relational image; a pinned view builds
   // its image here on the epoch's first such eval.
@@ -392,7 +402,7 @@ obs::JsonValue HandleEval(const Request& request, const HandlerContext& ctx) {
     return EvalDatalogGoal(*q, *database);
   }();
   if (!out.ok()) return StatusError(request.id, out.status());
-  return finish(*out);
+  return finish(SortRows(*out));
 }
 
 obs::JsonValue HandleSleep(const Request& request, const HandlerContext& ctx) {

@@ -142,6 +142,44 @@ TEST(DatalogEvalTest, IdbPredicateInEdbIsRejected) {
   EXPECT_FALSE(EvalDatalogGoal(p, db).ok());
 }
 
+// The EDB is read in place: an eval leaves it exactly as it was, and no
+// IDB relation appears in it.
+TEST(DatalogEvalTest, EvalLeavesEdbUnchanged) {
+  Database db = EdgeDb({{1, 2}, {2, 3}, {3, 1}, {3, 4}});
+  db.GetOrCreate("unused", 3).value()->Insert({7, 8, 9});
+  const std::string before = db.ToString();
+  const std::vector<std::string> names = db.RelationNames();
+  for (DatalogEvalMode mode :
+       {DatalogEvalMode::kNaive, DatalogEvalMode::kSemiNaive}) {
+    Relation tc = EvalDatalogGoal(Parse(kTc), db, mode).value();
+    EXPECT_EQ(tc.size(), 12u);
+    EXPECT_EQ(db.RelationNames(), names);
+    EXPECT_EQ(db.Find("edge")->size(), 4u);
+    EXPECT_EQ(db.Find("unused")->size(), 1u);
+    EXPECT_EQ(db.Find("tc"), nullptr);
+    EXPECT_EQ(db.ToString(), before);
+  }
+}
+
+TEST(DatalogEvalTest, IdbNameSharedWithEmptyEdbRelationIsRejected) {
+  DatalogProgram p = Parse(kTc);
+  Database db = EdgeDb({{1, 2}});
+  ASSERT_TRUE(db.GetOrCreate("tc", 2).ok());  // present, but empty
+  auto result = EvalDatalogGoal(p, db);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(db.Find("tc")->empty());
+}
+
+TEST(DatalogEvalTest, EdbArityMismatchIsRejected) {
+  DatalogProgram p = Parse(kTc);
+  Database db;
+  db.GetOrCreate("edge", 3).value()->Insert({1, 2, 3});
+  auto result = EvalDatalogGoal(p, db);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(DatalogEvalTest, EmptyEdbGivesEmptyIdb) {
   DatalogProgram p = Parse(kTc);
   Database db;

@@ -143,8 +143,8 @@ TEST(CrossEngineTest, SocialNetworkQueriesAcrossEngines) {
     b.Insert({x, y});
   }
   Relation joined(2);
-  for (const Tuple& t : a.tuples()) {
-    if (b.Contains(t)) joined.Insert(t);
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (b.Contains(a.row(i))) joined.Insert(a.row(i));
   }
   EXPECT_EQ(via_crpq.SortedTuples(), joined.SortedTuples());
 }

@@ -132,7 +132,7 @@ void SeedFromView(server::GraphStore* store, const server::GraphView& view,
   store->SeedClosure(view, label, std::move(base), std::move(closure));
 }
 
-std::vector<Tuple> ImageRows(const server::SortedRows& image) {
+std::vector<Tuple> ImageRows(const SortedRows& image) {
   std::vector<Tuple> rows;
   for (size_t i = 0; i < image.size(); ++i) {
     rows.emplace_back(image.row(i), image.row(i) + image.arity);
@@ -192,7 +192,7 @@ TEST(IncrementalDifferentialTest, StoreImagesMatchSemiNaiveAfterEveryBatch) {
       }
       view = store.Acquire();
       for (uint32_t label : labels) {
-        const server::SortedRows* image = view.Closure(label);
+        const SortedRows* image = view.Closure(label);
         if (image == nullptr) continue;
         ++checked;
         ASSERT_EQ(image->arity, 2u);

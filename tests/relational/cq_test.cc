@@ -126,9 +126,9 @@ TEST(CqContainmentTest, ContainmentImpliesAnswerInclusion) {
     Database db = RandomDb(2, 5, 12, rng.Next());
     Relation a1 = EvalCq(db, q1).value();
     Relation a2 = EvalCq(db, q2).value();
-    for (const Tuple& t : a1.tuples()) {
-      EXPECT_TRUE(a2.Contains(t)) << q1.ToString() << "  ⊑  "
-                                  << q2.ToString();
+    for (size_t i = 0; i < a1.size(); ++i) {
+      EXPECT_TRUE(a2.Contains(a1.row(i))) << q1.ToString() << "  ⊑  "
+                                          << q2.ToString();
     }
   }
   EXPECT_GT(containments, 0);

@@ -50,6 +50,140 @@ TEST(RelationTest, InsertAllCountsNewTuples) {
   EXPECT_EQ(a.size(), 3u);
 }
 
+// Flat store: membership survives many table growths.
+TEST(RelationTest, DuplicatesRejectedAcrossTableGrowth) {
+  Relation r(2);
+  constexpr Value kRows = 50000;
+  for (Value i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(r.Insert({i, i * 7 + 1}));
+    ASSERT_FALSE(r.Insert({i, i * 7 + 1}));
+  }
+  for (Value i = 0; i < kRows; ++i) {
+    EXPECT_FALSE(r.Insert({i, i * 7 + 1}));
+  }
+  EXPECT_EQ(r.size(), kRows);
+  EXPECT_TRUE(r.Contains({kRows - 1, (kRows - 1) * 7 + 1}));
+  EXPECT_FALSE(r.Contains({kRows, kRows * 7 + 1}));
+  EXPECT_FALSE(r.Contains({1, 1}));
+}
+
+TEST(RelationTest, ArityZeroOneAndThree) {
+  Relation nullary(0);
+  EXPECT_FALSE(nullary.Contains({}));
+  EXPECT_TRUE(nullary.Insert({}));
+  EXPECT_FALSE(nullary.Insert({}));
+  EXPECT_EQ(nullary.size(), 1u);
+  EXPECT_TRUE(nullary.row(0).empty());
+  EXPECT_EQ(nullary.SortedTuples(), std::vector<Tuple>{Tuple{}});
+
+  Relation unary(1);
+  for (Value v : {5, 3, 5, 9, 3}) unary.Insert({v});
+  EXPECT_EQ(unary.size(), 3u);
+  EXPECT_EQ(unary.row(2)[0], 9u);
+  EXPECT_EQ(unary.RowsWithValue(0, 3).size(), 1u);
+  EXPECT_EQ(unary.SortedTuples(), (std::vector<Tuple>{{3}, {5}, {9}}));
+
+  Relation ternary(3);
+  EXPECT_TRUE(ternary.Insert({1, 2, 3}));
+  EXPECT_TRUE(ternary.Insert({1, 3, 2}));
+  EXPECT_TRUE(ternary.Insert(Tuple{2, 2, 2}));
+  EXPECT_FALSE(ternary.Insert({1, 2, 3}));
+  EXPECT_TRUE(ternary.Contains({1, 3, 2}));
+  EXPECT_FALSE(ternary.Contains({3, 2, 1}));
+  EXPECT_EQ(ternary.RowsWithValue(0, 1).size(), 2u);
+  EXPECT_EQ(ternary.RowsWithValue(2, 2).size(), 2u);
+  EXPECT_EQ(Tuple(ternary.row(1).begin(), ternary.row(1).end()),
+            (Tuple{1, 3, 2}));
+}
+
+TEST(RelationTest, RowKeepsInsertionOrderAcrossGrowth) {
+  Relation r(2);
+  std::vector<Tuple> inserted;
+  Value x = 12345;
+  for (int i = 0; i < 5000; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    Tuple t{x >> 54, (x >> 20) & 0xff};
+    if (r.Insert(t)) inserted.push_back(t);
+  }
+  ASSERT_EQ(r.size(), inserted.size());
+  for (size_t i = 0; i < inserted.size(); ++i) {
+    EXPECT_EQ(Tuple(r.row(i).begin(), r.row(i).end()), inserted[i]);
+  }
+}
+
+TEST(RelationTest, EqualityIgnoresInsertionOrder) {
+  Relation a(2);
+  Relation b(2);
+  for (Value i = 0; i < 100; ++i) a.Insert({i, i + 1});
+  for (Value i = 100; i-- > 0;) b.Insert({i, i + 1});
+  EXPECT_TRUE(a == b);
+  b.Insert({0, 0});
+  EXPECT_FALSE(a == b);
+  a.Insert({0, 0});
+  EXPECT_TRUE(a == b);
+  EXPECT_FALSE(a == Relation(3));
+}
+
+// The incremental-closure pattern: probes built on first use must stay
+// exact while inserts keep landing between them.
+TEST(RelationTest, RowsWithValueExactWhenInsertsInterleaveProbes) {
+  Relation r(2);
+  Value x = 99;
+  for (int step = 0; step < 4000; ++step) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    r.Insert({(x >> 40) % 64, (x >> 20) % 64});
+    if (step % 37 != 0) continue;
+    for (size_t column = 0; column < 2; ++column) {
+      Value probe = (x >> 8) % 64;
+      std::vector<uint32_t> expected;
+      for (uint32_t row = 0; row < r.size(); ++row) {
+        if (r.row(row)[column] == probe) expected.push_back(row);
+      }
+      std::vector<uint32_t> got;
+      for (uint32_t row : r.RowsWithValue(column, probe)) got.push_back(row);
+      EXPECT_EQ(got, expected) << "step " << step << " column " << column;
+    }
+  }
+}
+
+TEST(RelationTest, BuiltIndexesAnswerLikeLazyOnes) {
+  Relation lazy(2);
+  for (Value i = 0; i < 300; ++i) lazy.Insert({i % 17, i % 11});
+  Relation built = lazy;
+  built.BuildIndexes();
+  built.Insert({40, 40});
+  lazy.Insert({40, 40});
+  for (Value v = 0; v < 41; ++v) {
+    for (size_t column = 0; column < 2; ++column) {
+      std::vector<uint32_t> a;
+      std::vector<uint32_t> b;
+      for (uint32_t row : lazy.RowsWithValue(column, v)) a.push_back(row);
+      for (uint32_t row : built.RowsWithValue(column, v)) b.push_back(row);
+      EXPECT_EQ(a, b);
+    }
+  }
+}
+
+TEST(SortedRowsTest, SortRowsFromARowRangeAndMerge) {
+  Relation r(2);
+  for (Value v : {5, 1, 4, 2}) r.Insert({v, 0});
+  SortedRows head = SortRows(r, 0);
+  ASSERT_EQ(head.size(), 4u);
+  EXPECT_EQ(head.row(0)[0], 1u);
+  EXPECT_EQ(head.row(3)[0], 5u);
+  SortedRows prefix = SortRows(r, 4);  // nothing past row 4 yet
+  EXPECT_EQ(prefix.size(), 0u);
+  r.Insert({3, 0});
+  r.Insert({0, 0});
+  SortedRows grown = SortRows(r, 4);
+  ASSERT_EQ(grown.size(), 2u);
+  SortedRows merged = MergeRows(head, grown);
+  ASSERT_EQ(merged.size(), 6u);
+  for (size_t i = 0; i < merged.size(); ++i) {
+    EXPECT_EQ(merged.row(i)[0], static_cast<Value>(i));
+  }
+}
+
 TEST(DatabaseTest, GetOrCreateChecksArity) {
   Database db;
   ASSERT_TRUE(db.GetOrCreate("r", 2).ok());

@@ -21,7 +21,9 @@
 #include "obs/counters.h"
 #include "pathquery/containment.h"
 #include "regex/regex.h"
+#include "relational/cq.h"
 #include "rq/containment.h"
+#include "rq/eval.h"
 #include "rq/parser.h"
 #include "views/rewriting.h"
 
@@ -177,6 +179,45 @@ TEST(DeadlinePropagationTest, DatalogEvalReturnsDeadlineError) {
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
   }
+}
+
+// The eval entry points: a tripped context is reported as the error,
+// never as an Ok (possibly empty or partial) answer.
+GraphDb KnowsChain() {
+  return GraphDb::FromText("a knows b\nb knows c\nc knows d\n").value();
+}
+
+TEST(DeadlinePropagationTest, RqEvalReturnsDeadlineError) {
+  auto query = ParseRq("q(x,y) := tc[x,y](knows(x,y))");
+  ASSERT_TRUE(query.ok());
+  Database db = GraphToDatabase(KnowsChain());
+  ExecContext ctx(ExpiredDeadline());
+  ScopedExecContext scoped(&ctx);
+  auto result = EvalRqQuery(db, *query);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+TEST(DeadlinePropagationTest, Uc2RpqEvalReturnsDeadlineError) {
+  GraphDb graph = KnowsChain();
+  auto query = ParseUc2Rpq("q(x,y) :- (knows+)(x,y)", &graph.alphabet());
+  ASSERT_TRUE(query.ok());
+  ExecContext ctx(ExpiredDeadline());
+  ScopedExecContext scoped(&ctx);
+  auto result = EvalUc2Rpq(graph, *query);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+TEST(DeadlinePropagationTest, UcqEvalReturnsDeadlineError) {
+  auto query = ParseUcq("q(x,z) :- knows(x,y), knows(y,z)");
+  ASSERT_TRUE(query.ok());
+  Database db = GraphToDatabase(KnowsChain());
+  ExecContext ctx(ExpiredDeadline());
+  ScopedExecContext scoped(&ctx);
+  auto result = EvalUcq(db, *query);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(DeadlinePropagationTest, Uc2RpqContainmentReturnsDeadlineError) {

@@ -18,6 +18,7 @@
 
 #include "cache/automata_cache.h"
 #include "common/deadline.h"
+#include "crpq/crpq.h"
 #include "datalog/eval.h"
 #include "obs/counters.h"
 #include "obs/mem_stats.h"
@@ -25,6 +26,9 @@
 #include "obs/prometheus.h"
 #include "pathquery/containment.h"
 #include "regex/regex.h"
+#include "relational/cq.h"
+#include "relational/incremental.h"
+#include "rq/eval.h"
 #include "rq/expand.h"
 #include "rq/parser.h"
 
@@ -235,6 +239,70 @@ TEST(MemBudgetPropagationTest, RqExpansionReturnsResourceExhausted) {
   auto result = ExpandRq(*query, limits);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+}
+
+// The eval entry points charge their answers and intermediates, so a
+// budget trip is reported as the error, never as an Ok answer.
+GraphDb KnowsChain() {
+  return GraphDb::FromText("a knows b\nb knows c\nc knows d\n").value();
+}
+
+TEST(MemBudgetPropagationTest, RqEvalReturnsResourceExhausted) {
+  auto query = ParseRq("q(x,y) := tc[x,y](knows(x,y))");
+  ASSERT_TRUE(query.ok());
+  Database db = GraphToDatabase(KnowsChain());
+  ExecContext ctx = Budgeted(1);
+  ScopedExecContext scoped(&ctx);
+  auto result = EvalRqQuery(db, *query);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(MemBudgetPropagationTest, Uc2RpqEvalReturnsResourceExhausted) {
+  GraphDb graph = KnowsChain();
+  auto query = ParseUc2Rpq("q(x,y) :- (knows+)(x,y)", &graph.alphabet());
+  ASSERT_TRUE(query.ok());
+  ExecContext ctx = Budgeted(1);
+  ScopedExecContext scoped(&ctx);
+  auto result = EvalUc2Rpq(graph, *query);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(MemBudgetPropagationTest, UcqEvalReturnsResourceExhausted) {
+  auto query = ParseUcq("q(x,z) :- knows(x,y), knows(y,z)");
+  ASSERT_TRUE(query.ok());
+  Database db = GraphToDatabase(KnowsChain());
+  ExecContext ctx = Budgeted(1);
+  ScopedExecContext scoped(&ctx);
+  auto result = EvalUcq(db, *query);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+}
+
+// One byte model: a seeded closure holds RelationRowBytes(2) per stored
+// pair, base plus closure, in mem.incr_bytes.
+TEST(MemAccountingTest, SeededClosureChargesRowBytesForBaseAndClosure) {
+  Relation base(2);
+  for (Value i = 0; i < 40; ++i) base.Insert({i, i + 1});
+  Relation closure = BinaryTransitiveClosure(base);
+  const size_t pairs = base.size() + closure.size();
+  const int64_t before = LiveBytes(MemSubsystem::kIncr);
+  {
+    IncrementalClosure inc;
+    inc.Seed(base, closure);
+    EXPECT_EQ(inc.ApproxBytes(), pairs * RelationRowBytes(2));
+    EXPECT_EQ(LiveBytes(MemSubsystem::kIncr) - before,
+              static_cast<int64_t>(pairs * RelationRowBytes(2)));
+    // One edge closing the chain into a cycle: the charge follows the
+    // stored pairs.
+    ASSERT_TRUE(inc.AddEdge(40, 0).ok());
+    EXPECT_EQ(LiveBytes(MemSubsystem::kIncr) - before,
+              static_cast<int64_t>((inc.base().size() +
+                                    inc.closure().size()) *
+                                   RelationRowBytes(2)));
+  }
+  EXPECT_EQ(LiveBytes(MemSubsystem::kIncr), before);
 }
 
 TEST(MemBudgetPropagationTest, UnlimitedContextStillAttributes) {

@@ -2,8 +2,9 @@
 // "Updates"): an eval admitted before a mutation completes must evaluate
 // against its pinned pre-mutation snapshot while the writer publishes new
 // epochs, concurrent writers/readers across connections must be
-// race-free, and readers racing to build an epoch's relational image must
-// all read the one image. Runs in the `tsan-mutation` label so the tsan
+// race-free, readers racing to build an epoch's relational image must
+// all read the one image, and evals reading a built image concurrently
+// must write nothing to it. Runs in the `tsan-mutation` label so the tsan
 // preset executes it under ThreadSanitizer.
 #include <atomic>
 #include <chrono>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "datalog/eval.h"
+#include "graph/generators.h"
 #include "graph/graph_db.h"
 #include "gtest/gtest.h"
 #include "obs/json.h"
@@ -23,6 +25,7 @@
 #include "rq/eval.h"
 #include "rq/parser.h"
 #include "server/client.h"
+#include "server/graph_store.h"
 #include "server/server.h"
 
 namespace rq {
@@ -389,6 +392,54 @@ TEST(MutationConcurrencyTest, RelationalImageFirstUseRacesStayExact) {
   }
   for (int q = 0; q < kQueryCount; ++q) EXPECT_GT(per_query[q], 0) << q;
   EXPECT_GT(epochs.size(), 2u);  // the readers raced over several epochs
+}
+
+// Right after an image's first use, with no writer running, concurrent
+// evals read the shared image in place: Datalog probes the EDB's knows
+// index and an RQ join probes it too. The image built every index inside
+// its one-time build, so these reads write nothing (tsan would flag a lazy
+// index build), and every answer equals the sequential one.
+TEST(MutationConcurrencyTest, ConcurrentEvalsReadTheIndexedImage) {
+  GraphStore store;
+  store.Load(RandomGraph(60, 180, {"knows", "member"}, 7));
+  GraphView view = store.Acquire();
+  *view.database;  // first use: build and index
+  auto datalog = ParseDatalog(
+      "q(x,y) :- knows(x,y).\nq(x,z) :- q(x,y), knows(y,z).\n?- q.");
+  auto rq = ParseRq("q(x,z) := exists[y](knows(x, y) & member(y, z))");
+  ASSERT_TRUE(datalog.ok() && rq.ok());
+  // The sequential answers come from a private copy of the relational
+  // view, so the threads below are the image's first readers.
+  const Database local = GraphToDatabase(*view.graph);
+  const std::vector<Tuple> expected_datalog =
+      EvalDatalogGoal(*datalog, local).value().SortedTuples();
+  const std::vector<Tuple> expected_rq =
+      EvalRqQuery(local, *rq).value().SortedTuples();
+  ASSERT_FALSE(expected_datalog.empty());
+  ASSERT_FALSE(expected_rq.empty());
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::jthread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      GraphView mine = store.Acquire();
+      for (int i = 0; i < 6; ++i) {
+        if ((t + i) % 2 == 0) {
+          auto out = EvalDatalogGoal(*datalog, *mine.database);
+          if (!out.ok() || out->SortedTuples() != expected_datalog) {
+            mismatches.fetch_add(1);
+          }
+        } else {
+          auto out = EvalRqQuery(*mine.database, *rq);
+          if (!out.ok() || out->SortedTuples() != expected_rq) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  threads.clear();  // join
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

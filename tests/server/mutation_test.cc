@@ -14,6 +14,8 @@
 #include "gtest/gtest.h"
 #include "obs/counters.h"
 #include "obs/json.h"
+#include "pathquery/path_query.h"
+#include "regex/regex.h"
 #include "relational/relation.h"
 #include "rq/eval.h"
 #include "server/client.h"
@@ -364,6 +366,51 @@ TEST(EvalRenderTest, CachedResponsesEqualComputedOnes) {
       int64_t cap = max_tuples > 0 ? max_tuples : kDefaultMaxTuples;
       size_t shown = computed.Find("tuples")->items().size();
       EXPECT_EQ(static_cast<int64_t>(shown), std::min(size, cap)) << context;
+      EXPECT_EQ(computed.Find("truncated")->bool_value(), size > cap)
+          << context;
+    }
+  }
+}
+
+// Path answers are stored straight from product-BFS: the fresh and the
+// cached response both render the kernel's pairs, in its order.
+TEST(EvalRenderTest, PathResponsesRenderProductBfsRows) {
+  GraphDb graph = RenderGraph();
+  for (const char* query : {"knows knows", "knows+", "member member-"}) {
+    Alphabet alphabet = graph.alphabet();
+    RegexPtr regex = ParseRegex(query, &alphabet).value();
+    std::vector<std::vector<std::string>> expected;
+    for (const auto& [x, y] : EvalPathQuery(graph, *regex)) {
+      expected.push_back({graph.NodeName(x), graph.NodeName(y)});
+    }
+    const int64_t size = static_cast<int64_t>(expected.size());
+    ASSERT_GT(size, 1) << query;
+    for (int64_t max_tuples : {int64_t{1}, size, size + 3, int64_t{0},
+                               int64_t{-1}}) {
+      std::string context = std::string(query) + " max_tuples " +
+                            std::to_string(max_tuples);
+      GraphStore store;
+      store.Load(graph);
+      HandlerContext ctx;
+      ctx.view = store.Acquire();
+      ctx.store = &store;
+      Request request = EvalRequest("path", query, max_tuples);
+      obs::JsonValue computed = ExecuteRequest(request, ctx);
+      obs::JsonValue cached = ExecuteRequest(request, ctx);
+      ASSERT_NE(cached.Find("cached"), nullptr) << context;
+      ExpectSameAnswer(computed, cached, context);
+      int64_t cap = max_tuples > 0 ? max_tuples : kDefaultMaxTuples;
+      std::vector<std::vector<std::string>> rows;
+      for (const obs::JsonValue& row : computed.Find("tuples")->items()) {
+        rows.push_back({row.items()[0].string_value(),
+                        row.items()[1].string_value()});
+      }
+      std::vector<std::vector<std::string>> prefix(
+          expected.begin(), expected.begin() + std::min(size, cap));
+      EXPECT_EQ(rows, prefix) << context;
+      EXPECT_EQ(computed.Find("count")->number_value(),
+                static_cast<double>(size))
+          << context;
       EXPECT_EQ(computed.Find("truncated")->bool_value(), size > cap)
           << context;
     }
