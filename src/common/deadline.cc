@@ -1,19 +1,13 @@
 #include "common/deadline.h"
 
-#include <chrono>
 #include <cstddef>
 
+#include "common/clock.h"
 #include "obs/mem_stats.h"
 #include "obs/subsystems.h"
 
 namespace rq {
 namespace {
-
-int64_t SteadyNowNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 thread_local ExecContext* g_current_exec_context = nullptr;
 
@@ -33,16 +27,16 @@ uint64_t NonNegative(const std::atomic<int64_t>& value) {
 }  // namespace
 
 Deadline Deadline::AfterNanos(int64_t ns) {
-  return Deadline(SteadyNowNanos() + ns);
+  return Deadline(static_cast<int64_t>(SteadyNowNs()) + ns);
 }
 
 bool Deadline::Expired() const {
-  return ns_ != kInfiniteNs && SteadyNowNanos() >= ns_;
+  return ns_ != kInfiniteNs && static_cast<int64_t>(SteadyNowNs()) >= ns_;
 }
 
 int64_t Deadline::RemainingNanos() const {
   if (ns_ == kInfiniteNs) return kInfiniteNs;
-  return ns_ - SteadyNowNanos();
+  return ns_ - static_cast<int64_t>(SteadyNowNs());
 }
 
 ExecContext::ExecContext(Deadline deadline, CancelToken* cancel,

@@ -38,13 +38,16 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.substr(0, prefix.size()) == prefix;
 }
 
+bool IsIdentStart(char c) {
+  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+}
+
 bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
 bool IsIdentifier(std::string_view text) {
-  if (text.empty()) return false;
-  if (std::isdigit(static_cast<unsigned char>(text[0]))) return false;
+  if (text.empty() || !IsIdentStart(text[0])) return false;
   for (char c : text) {
     if (!IsIdentChar(c)) return false;
   }

@@ -46,11 +46,12 @@ std::string StrJoin(const std::vector<std::string>& parts,
 // True if `text` starts with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
 
-// True if c is valid in an identifier ([A-Za-z0-9_]).
+// The identifier rule of every query syntax: [A-Za-z_][A-Za-z0-9_]*.
+// IsIdentStart admits the first character, IsIdentChar the rest.
+bool IsIdentStart(char c);
 bool IsIdentChar(char c);
 
-// True if the whole string is a nonempty identifier starting with a letter
-// or underscore.
+// True if the whole string is one identifier.
 bool IsIdentifier(std::string_view text);
 
 }  // namespace rq

@@ -1,9 +1,9 @@
 #include "containment/batch.h"
 
 #include <atomic>
-#include <chrono>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/deadline.h"
 #include "common/parallel.h"
 #include "common/status.h"
@@ -14,13 +14,6 @@
 namespace rq {
 
 namespace {
-
-uint64_t SteadyNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // Runs `work(i)` for i in [0, n) on the shared ticket-queue pool
 // (common/parallel.h), wrapped in the batch engine's bookkeeping. `work`

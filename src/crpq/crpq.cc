@@ -6,7 +6,7 @@
 #include "automata/words.h"
 #include "common/deadline.h"
 #include "common/mem.h"
-#include "common/strings.h"
+#include "common/scanner.h"
 #include "containment/batch.h"
 #include "obs/flight_recorder.h"
 #include "obs/profile.h"
@@ -85,113 +85,50 @@ std::string Uc2Rpq::ToString(const Alphabet& alphabet) const {
   return out;
 }
 
-Result<Crpq> ParseCrpq(std::string_view text, Alphabet* alphabet) {
-  size_t sep = text.find(":-");
-  if (sep == std::string_view::npos) {
-    return InvalidArgumentError("C2RPQ: missing ':-' in '" +
-                                std::string(text) + "'");
-  }
+namespace {
+
+// One C2RPQ on the rule front end; its body atoms are `(regex)(u, v)`, the
+// atom's parenthesis one nesting level around the regex.
+Result<Crpq> ReadCrpq(Scanner& scan, Alphabet* alphabet) {
   Crpq query;
-  std::unordered_map<std::string, VarId> vars;
-  auto intern = [&](std::string_view name) {
-    auto it = vars.find(std::string(name));
-    if (it != vars.end()) return it->second;
-    VarId id = query.num_vars++;
-    vars.emplace(std::string(name), id);
-    query.var_names.emplace_back(name);
-    return id;
-  };
-
-  // Head: ident(v1, ..., vk).
-  std::string_view head = StripWhitespace(text.substr(0, sep));
-  size_t open = head.find('(');
-  if (open == std::string_view::npos || head.back() != ')') {
-    return InvalidArgumentError("C2RPQ: malformed head");
-  }
-  for (const std::string& piece :
-       StrSplit(head.substr(open + 1, head.size() - open - 2), ',')) {
-    std::string_view name = StripWhitespace(piece);
-    if (!IsIdentifier(name)) {
-      return InvalidArgumentError("C2RPQ: bad head variable '" +
-                                  std::string(name) + "'");
+  VarTable vars;
+  RQ_ASSIGN_OR_RETURN(RuleAtom head, ParseRule(scan, vars, [&]() -> Status {
+    RQ_RETURN_IF_ERROR(scan.Expect("("));
+    RQ_RETURN_IF_ERROR(scan.Enter());
+    RQ_ASSIGN_OR_RETURN(RegexPtr regex, ParseRegex(scan, alphabet));
+    RQ_RETURN_IF_ERROR(scan.Expect(")"));
+    scan.Leave();
+    RQ_ASSIGN_OR_RETURN(std::vector<VarId> ends, ParseVarList(scan, vars));
+    if (ends.size() != 2) {
+      return scan.Error("atoms take exactly two variables");
     }
-    query.head.push_back(intern(name));
-  }
-
-  // Body: atoms "(regex)(u, v)" separated by commas at depth 0.
-  std::string_view body = StripWhitespace(text.substr(sep + 2));
-  size_t pos = 0;
-  auto skip_space = [&] {
-    while (pos < body.size() &&
-           std::isspace(static_cast<unsigned char>(body[pos]))) {
-      ++pos;
-    }
-  };
-  for (;;) {
-    skip_space();
-    if (pos >= body.size() || body[pos] != '(') {
-      return InvalidArgumentError("C2RPQ: expected '(' starting an atom");
-    }
-    // Find the matching ')'.
-    size_t depth = 0;
-    size_t start = pos;
-    size_t end = pos;
-    for (; end < body.size(); ++end) {
-      if (body[end] == '(') ++depth;
-      if (body[end] == ')') {
-        if (--depth == 0) break;
-      }
-    }
-    if (end >= body.size()) {
-      return InvalidArgumentError("C2RPQ: unbalanced parentheses in regex");
-    }
-    RQ_ASSIGN_OR_RETURN(
-        RegexPtr regex,
-        ParseRegex(body.substr(start + 1, end - start - 1), alphabet));
-    pos = end + 1;
-    skip_space();
-    if (pos >= body.size() || body[pos] != '(') {
-      return InvalidArgumentError("C2RPQ: expected '(u, v)' after regex");
-    }
-    size_t close = body.find(')', pos);
-    if (close == std::string_view::npos) {
-      return InvalidArgumentError("C2RPQ: missing ')' after variables");
-    }
-    std::vector<std::string> pieces =
-        StrSplit(body.substr(pos + 1, close - pos - 1), ',');
-    if (pieces.size() != 2) {
-      return InvalidArgumentError("C2RPQ: atoms take exactly two variables");
-    }
-    std::string_view u = StripWhitespace(pieces[0]);
-    std::string_view v = StripWhitespace(pieces[1]);
-    if (!IsIdentifier(u) || !IsIdentifier(v)) {
-      return InvalidArgumentError("C2RPQ: bad atom variables");
-    }
-    query.atoms.push_back({regex, intern(u), intern(v)});
-    pos = close + 1;
-    skip_space();
-    if (pos < body.size() && body[pos] == ',') {
-      ++pos;
-      continue;
-    }
-    break;
-  }
-  if (pos != body.size()) {
-    return InvalidArgumentError("C2RPQ: trailing input '" +
-                                std::string(body.substr(pos)) + "'");
-  }
+    query.atoms.push_back({std::move(regex), ends[0], ends[1]});
+    return Status::Ok();
+  }));
+  query.head = std::move(head.vars);
+  query.num_vars = vars.size();
+  query.var_names = vars.TakeNames();
   RQ_RETURN_IF_ERROR(query.Validate());
+  return query;
+}
+
+}  // namespace
+
+Result<Crpq> ParseCrpq(std::string_view text, Alphabet* alphabet) {
+  Scanner scan(text, "C2RPQ");
+  RQ_ASSIGN_OR_RETURN(Crpq query, ReadCrpq(scan, alphabet));
+  RQ_RETURN_IF_ERROR(scan.ExpectEnd());
   return query;
 }
 
 Result<Uc2Rpq> ParseUc2Rpq(std::string_view text, Alphabet* alphabet) {
   Uc2Rpq out;
-  for (const std::string& line : StrSplit(text, '\n')) {
-    std::string_view stripped = StripWhitespace(line);
-    if (stripped.empty() || stripped[0] == '#') continue;
-    RQ_ASSIGN_OR_RETURN(Crpq q, ParseCrpq(stripped, alphabet));
-    out.disjuncts.push_back(std::move(q));
-  }
+  RQ_RETURN_IF_ERROR(
+      ForEachStatement(text, "C2RPQ", [&](Scanner& scan) -> Status {
+        RQ_ASSIGN_OR_RETURN(Crpq query, ReadCrpq(scan, alphabet));
+        out.disjuncts.push_back(std::move(query));
+        return Status::Ok();
+      }));
   RQ_RETURN_IF_ERROR(out.Validate());
   return out;
 }

@@ -62,7 +62,8 @@ struct Uc2Rpq {
 // Parses "q(x, y) :- (knows+)(x, z), (member- member)(z, y)". Labels are
 // interned into `alphabet`.
 Result<Crpq> ParseCrpq(std::string_view text, Alphabet* alphabet);
-// One disjunct per non-empty line.
+// One disjunct per line; blank lines and `#` or `%` comment lines are
+// skipped.
 Result<Uc2Rpq> ParseUc2Rpq(std::string_view text, Alphabet* alphabet);
 
 // Evaluation over a graph database (whose alphabet must be the alphabet the

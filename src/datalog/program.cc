@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/strings.h"
+#include "common/scanner.h"
 
 namespace rq {
 
@@ -302,142 +302,47 @@ std::string DatalogProgram::ToString() const {
 
 namespace {
 
-struct ParsedAtom {
-  std::string predicate;
-  std::vector<std::string> args;
-};
-
-// Parses "pred(a, b)"; advances pos.
-Result<ParsedAtom> ParseOneAtom(std::string_view text, size_t* pos) {
-  auto skip = [&] {
-    while (*pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[*pos]))) {
-      ++*pos;
-    }
-  };
-  skip();
-  size_t start = *pos;
-  while (*pos < text.size() && IsIdentChar(text[*pos])) ++*pos;
-  if (*pos == start) {
-    return InvalidArgumentError("datalog: expected predicate name");
+// One `head :- p(v, ...), ... .` rule on the rule front end. Predicates are
+// numbered head first, then the body in order.
+Status ReadRule(Scanner& scan, DatalogProgram& program) {
+  VarTable vars;
+  std::vector<RuleAtom> body;
+  RQ_ASSIGN_OR_RETURN(RuleAtom head, ParseRule(scan, vars, [&]() -> Status {
+    RQ_ASSIGN_OR_RETURN(RuleAtom atom, ParseAtom(scan, vars));
+    body.push_back(std::move(atom));
+    return Status::Ok();
+  }));
+  RQ_RETURN_IF_ERROR(scan.Expect("."));
+  DatalogRule rule;
+  RQ_ASSIGN_OR_RETURN(rule.head.predicate,
+                      program.InternPredicate(head.name, head.vars.size()));
+  rule.head.vars = std::move(head.vars);
+  for (RuleAtom& atom : body) {
+    RQ_ASSIGN_OR_RETURN(PredId pred,
+                        program.InternPredicate(atom.name, atom.vars.size()));
+    rule.body.push_back({pred, std::move(atom.vars)});
   }
-  ParsedAtom atom;
-  atom.predicate = std::string(text.substr(start, *pos - start));
-  skip();
-  if (*pos >= text.size() || text[*pos] != '(') {
-    return InvalidArgumentError("datalog: expected '(' after " +
-                                atom.predicate);
-  }
-  ++*pos;
-  for (;;) {
-    skip();
-    size_t vstart = *pos;
-    while (*pos < text.size() && IsIdentChar(text[*pos])) ++*pos;
-    if (*pos == vstart) {
-      return InvalidArgumentError("datalog: expected variable in " +
-                                  atom.predicate);
-    }
-    atom.args.emplace_back(text.substr(vstart, *pos - vstart));
-    skip();
-    if (*pos < text.size() && text[*pos] == ',') {
-      ++*pos;
-      continue;
-    }
-    break;
-  }
-  if (*pos >= text.size() || text[*pos] != ')') {
-    return InvalidArgumentError("datalog: expected ')' in " + atom.predicate);
-  }
-  ++*pos;
-  return atom;
+  rule.num_vars = vars.size();
+  rule.var_names = vars.TakeNames();
+  program.AddRule(std::move(rule));
+  return Status::Ok();
 }
 
 }  // namespace
 
 Result<DatalogProgram> ParseDatalog(std::string_view text) {
   DatalogProgram program;
-  // Split into statements on '.', respecting nothing fancy (no strings).
-  for (const std::string& raw_line : StrSplit(text, '\n')) {
-    std::string_view line = StripWhitespace(raw_line);
-    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
-    if (line.back() != '.') {
-      return InvalidArgumentError("datalog: statement must end with '.': " +
-                                  std::string(line));
-    }
-    line.remove_suffix(1);
-    line = StripWhitespace(line);
-    if (StartsWith(line, "?-")) {
-      std::string_view name = StripWhitespace(line.substr(2));
-      if (!IsIdentifier(name)) {
-        return InvalidArgumentError("datalog: bad goal name");
-      }
-      RQ_ASSIGN_OR_RETURN(PredId goal, program.FindPredicate(name));
-      program.SetGoal(goal);
-      continue;
-    }
-    size_t sep = line.find(":-");
-    if (sep == std::string_view::npos) {
-      return InvalidArgumentError("datalog: missing ':-' in rule: " +
-                                  std::string(line));
-    }
-    std::string_view head_text = StripWhitespace(line.substr(0, sep));
-    std::string_view body_text = StripWhitespace(line.substr(sep + 2));
-
-    size_t pos = 0;
-    RQ_ASSIGN_OR_RETURN(ParsedAtom head_atom, ParseOneAtom(head_text, &pos));
-    if (StripWhitespace(head_text.substr(pos)) != "") {
-      return InvalidArgumentError("datalog: junk after head atom");
-    }
-    std::vector<ParsedAtom> body_atoms;
-    pos = 0;
-    for (;;) {
-      RQ_ASSIGN_OR_RETURN(ParsedAtom atom, ParseOneAtom(body_text, &pos));
-      body_atoms.push_back(std::move(atom));
-      while (pos < body_text.size() &&
-             std::isspace(static_cast<unsigned char>(body_text[pos]))) {
-        ++pos;
-      }
-      if (pos < body_text.size() && body_text[pos] == ',') {
-        ++pos;
-        continue;
-      }
-      break;
-    }
-    if (pos != body_text.size()) {
-      return InvalidArgumentError("datalog: junk after body: " +
-                                  std::string(body_text.substr(pos)));
-    }
-
-    DatalogRule rule;
-    std::unordered_map<std::string, VarId> vars;
-    auto intern_var = [&](const std::string& name) {
-      auto it = vars.find(name);
-      if (it != vars.end()) return it->second;
-      VarId id = rule.num_vars++;
-      vars.emplace(name, id);
-      rule.var_names.push_back(name);
-      return id;
-    };
-    RQ_ASSIGN_OR_RETURN(
-        PredId head_pred,
-        program.InternPredicate(head_atom.predicate, head_atom.args.size()));
-    rule.head.predicate = head_pred;
-    for (const std::string& v : head_atom.args) {
-      rule.head.vars.push_back(intern_var(v));
-    }
-    for (const ParsedAtom& atom : body_atoms) {
-      RQ_ASSIGN_OR_RETURN(
-          PredId pred,
-          program.InternPredicate(atom.predicate, atom.args.size()));
-      DatalogAtom out;
-      out.predicate = pred;
-      for (const std::string& v : atom.args) {
-        out.vars.push_back(intern_var(v));
-      }
-      rule.body.push_back(std::move(out));
-    }
-    program.AddRule(std::move(rule));
-  }
+  RQ_RETURN_IF_ERROR(
+      ForEachStatement(text, "datalog", [&](Scanner& scan) -> Status {
+        if (!scan.Consume("?-")) return ReadRule(scan, program);
+        RQ_ASSIGN_OR_RETURN(std::string_view name,
+                            scan.ExpectIdent("goal name"));
+        RQ_RETURN_IF_ERROR(scan.Expect("."));
+        RQ_RETURN_IF_ERROR(scan.ExpectEnd());
+        RQ_ASSIGN_OR_RETURN(PredId goal, program.FindPredicate(name));
+        program.SetGoal(goal);
+        return Status::Ok();
+      }));
   RQ_RETURN_IF_ERROR(program.Validate());
   return program;
 }

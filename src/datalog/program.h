@@ -99,8 +99,9 @@ class DatalogProgram {
 //   path(X, Y) :- edge(X, Y).
 //   path(X, Z) :- path(X, Y), edge(Y, Z).
 //   ?- path.
-// Rules end with '.'; '#' starts a comment line; "?- name." sets the goal
-// (optional; the goal can also be set programmatically).
+// One statement per line. Rules end with '.'; '#' or '%' starts a comment
+// line; "?- name." sets the goal (optional; the goal can also be set
+// programmatically).
 Result<DatalogProgram> ParseDatalog(std::string_view text);
 
 std::string RuleToString(const DatalogProgram& program,

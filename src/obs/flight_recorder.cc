@@ -1,12 +1,12 @@
 #include "obs/flight_recorder.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
+#include "common/clock.h"
 #include "common/deadline.h"
 #include "obs/subsystems.h"
 
@@ -19,13 +19,6 @@ namespace rq {
 namespace obs {
 
 namespace {
-
-uint64_t SteadyNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 uint64_t PackKindVerdict(QueryKind kind, int32_t verdict) {
   return (static_cast<uint64_t>(static_cast<uint8_t>(kind)) << 32) |

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/scanner.h"
+
 namespace rq {
 namespace obs {
 
@@ -226,8 +228,17 @@ class Parser {
     SkipSpace();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     char c = text_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
+    if (c == '{' || c == '[') {
+      // Arrays and objects nest at most kMaxNesting deep, the bound the
+      // query syntaxes share: requests are parsed on connection threads.
+      if (++depth_ > kMaxNesting) {
+        return Error("nesting deeper than " + std::to_string(kMaxNesting) +
+                     " levels");
+      }
+      Result<JsonValue> nested = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return nested;
+    }
     if (c == '"') {
       RQ_ASSIGN_OR_RETURN(std::string s, ParseString());
       return JsonValue::String(std::move(s));
@@ -366,6 +377,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  size_t depth_ = 0;
 };
 
 }  // namespace

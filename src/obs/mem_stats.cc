@@ -1,11 +1,11 @@
 #include "obs/mem_stats.h"
 
-#include <chrono>
 #include <cstdlib>
 #include <limits>
 #include <mutex>
 #include <string>
 
+#include "common/clock.h"
 #include "obs/trace.h"
 
 #if !defined(_WIN32)
@@ -43,13 +43,6 @@ uint64_t SampleRssGauge() {
 }
 
 namespace {
-
-uint64_t SteadyNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 struct Timeline {
   std::mutex mu;

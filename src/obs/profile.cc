@@ -1,9 +1,9 @@
 #include "obs/profile.h"
 
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/deadline.h"
 #include "obs/counters.h"
 #include "obs/mem_stats.h"
@@ -13,13 +13,6 @@ namespace rq {
 namespace obs {
 
 namespace {
-
-uint64_t SteadyNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 std::string FormatMs(uint64_t ns) {
   char buf[32];

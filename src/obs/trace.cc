@@ -1,11 +1,11 @@
 #include "obs/trace.h"
 
 #include <atomic>
-#include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
 
+#include "common/clock.h"
 #include "obs/histogram.h"
 #include "obs/subsystems.h"
 
@@ -15,13 +15,6 @@ namespace obs {
 namespace {
 
 std::atomic<TraceMode> g_mode{TraceMode::kDisabled};
-
-uint64_t SteadyNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // Internal per-name aggregate: the exported SpanStats plus the duration
 // histogram backing its quantiles.

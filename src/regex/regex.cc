@@ -1,9 +1,9 @@
 #include "regex/regex.h"
 
 #include <algorithm>
-#include <cctype>
+#include <utility>
 
-#include "common/strings.h"
+#include "common/scanner.h"
 #include "obs/subsystems.h"
 
 namespace rq {
@@ -263,60 +263,27 @@ namespace {
 
 class RegexParser {
  public:
-  RegexParser(std::string_view text, Alphabet* alphabet)
-      : text_(text), alphabet_(alphabet) {}
-
-  Result<RegexPtr> Parse() {
-    RQ_ASSIGN_OR_RETURN(RegexPtr re, ParseUnion());
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      return InvalidArgumentError("regex: trailing input at offset " +
-                                  std::to_string(pos_) + " in '" +
-                                  std::string(text_) + "'");
-    }
-    return re;
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool AtPrimaryStart() {
-    SkipSpace();
-    if (pos_ >= text_.size()) return false;
-    char c = text_[pos_];
-    return c == '(' || std::isalpha(static_cast<unsigned char>(c)) ||
-           c == '_';
-  }
+  RegexParser(Scanner& scan, Alphabet* alphabet)
+      : scan_(scan), alphabet_(alphabet), peak_(scan.depth()) {}
 
   Result<RegexPtr> ParseUnion() {
     std::vector<RegexPtr> parts;
-    RQ_ASSIGN_OR_RETURN(RegexPtr first, ParseConcat());
-    parts.push_back(std::move(first));
-    for (;;) {
-      SkipSpace();
-      if (pos_ < text_.size() && text_[pos_] == '|') {
-        ++pos_;
-        RQ_ASSIGN_OR_RETURN(RegexPtr next, ParseConcat());
-        parts.push_back(std::move(next));
-      } else {
-        break;
-      }
-    }
+    do {
+      RQ_ASSIGN_OR_RETURN(RegexPtr part, ParseConcat());
+      parts.push_back(std::move(part));
+    } while (scan_.Consume("|"));
     return Regex::Union(std::move(parts));
   }
 
+ private:
+  bool AtPrimaryStart() {
+    char c = scan_.Peek();
+    return c == '(' || IsIdentStart(c);
+  }
+
   Result<RegexPtr> ParseConcat() {
+    if (!AtPrimaryStart()) return scan_.Error("expected expression");
     std::vector<RegexPtr> parts;
-    if (!AtPrimaryStart()) {
-      return InvalidArgumentError("regex: expected expression at offset " +
-                                  std::to_string(pos_) + " in '" +
-                                  std::string(text_) + "'");
-    }
     while (AtPrimaryStart()) {
       RQ_ASSIGN_OR_RETURN(RegexPtr part, ParsePostfix());
       parts.push_back(std::move(part));
@@ -324,75 +291,65 @@ class RegexParser {
     return Regex::Concat(std::move(parts));
   }
 
+  // An operator wraps its whole operand, so it nests one level below the
+  // operand's deepest point: `(a)+` nests two levels, as `((a))` does.
   Result<RegexPtr> ParsePostfix() {
+    size_t outer_peak = std::exchange(peak_, scan_.depth());
     RQ_ASSIGN_OR_RETURN(RegexPtr re, ParsePrimary());
-    for (;;) {
-      SkipSpace();
-      if (pos_ >= text_.size()) break;
-      char c = text_[pos_];
-      if (c == '*') {
+    for (char op = scan_.Peek(); op == '*' || op == '+' || op == '?';
+         op = scan_.Peek()) {
+      RQ_RETURN_IF_ERROR(scan_.CheckDepth(++peak_));
+      scan_.Consume(std::string_view(&op, 1));
+      if (op == '*') {
         re = Regex::Star(std::move(re));
-        ++pos_;
-      } else if (c == '+') {
+      } else if (op == '+') {
         re = Regex::Plus(std::move(re));
-        ++pos_;
-      } else if (c == '?') {
-        re = Regex::Optional(std::move(re));
-        ++pos_;
       } else {
-        break;
+        re = Regex::Optional(std::move(re));
       }
     }
+    peak_ = std::max(peak_, outer_peak);
     return re;
   }
 
   Result<RegexPtr> ParsePrimary() {
-    SkipSpace();
-    if (pos_ >= text_.size()) {
-      return InvalidArgumentError("regex: unexpected end of input");
-    }
-    char c = text_[pos_];
-    if (c == '(') {
-      ++pos_;
-      SkipSpace();
-      if (pos_ < text_.size() && text_[pos_] == ')') {
-        ++pos_;
+    if (scan_.Consume("(")) {
+      RQ_RETURN_IF_ERROR(scan_.Enter());
+      peak_ = std::max(peak_, scan_.depth());
+      if (scan_.Consume(")")) {
+        scan_.Leave();
         return Regex::Epsilon();
       }
       RQ_ASSIGN_OR_RETURN(RegexPtr inner, ParseUnion());
-      SkipSpace();
-      if (pos_ >= text_.size() || text_[pos_] != ')') {
-        return InvalidArgumentError("regex: missing ')'");
-      }
-      ++pos_;
+      RQ_RETURN_IF_ERROR(scan_.Expect(")"));
+      scan_.Leave();
       return inner;
     }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t start = pos_;
-      while (pos_ < text_.size() && IsIdentChar(text_[pos_])) ++pos_;
-      std::string_view name = text_.substr(start, pos_ - start);
-      bool inverse = false;
-      if (pos_ < text_.size() && text_[pos_] == '-') {
-        inverse = true;
-        ++pos_;
-      }
-      uint32_t label = alphabet_->InternLabel(name);
-      return Regex::Atom(inverse ? InverseSymbolOf(label)
-                                 : ForwardSymbolOf(label));
-    }
-    return InvalidArgumentError(std::string("regex: unexpected character '") +
-                                c + "' at offset " + std::to_string(pos_));
+    RQ_ASSIGN_OR_RETURN(std::string_view name, scan_.ExpectIdent("label"));
+    bool inverse = scan_.ConsumeAdjacent('-');
+    uint32_t label = alphabet_->InternLabel(name);
+    return Regex::Atom(inverse ? InverseSymbolOf(label)
+                               : ForwardSymbolOf(label));
   }
 
-  std::string_view text_;
+  Scanner& scan_;
   Alphabet* alphabet_;
-  size_t pos_ = 0;
+  // The deepest nesting level reached inside the operand ParsePostfix is
+  // reading.
+  size_t peak_;
 };
 
 }  // namespace
 
+Result<RegexPtr> ParseRegex(Scanner& scan, Alphabet* alphabet) {
+  return RegexParser(scan, alphabet).ParseUnion();
+}
+
 Result<RegexPtr> ParseRegex(std::string_view text, Alphabet* alphabet) {
-  return RegexParser(text, alphabet).Parse();
+  Scanner scan(text, "regex");
+  RQ_ASSIGN_OR_RETURN(RegexPtr re, ParseRegex(scan, alphabet));
+  RQ_RETURN_IF_ERROR(scan.ExpectEnd());
+  return re;
 }
 
 RegexPtr RandomRegex(const Alphabet& alphabet, int max_depth,

@@ -8,6 +8,8 @@
 //   concat     ::= postfix postfix*               (juxtaposition)
 //   union      ::= concat ('|' concat)*
 // Examples: "knows+", "(parent | parent-)*", "a (b | c)* d-".
+// Parentheses and postfix operators nest at most kMaxNesting levels
+// (common/scanner.h).
 #ifndef RQ_REGEX_REGEX_H_
 #define RQ_REGEX_REGEX_H_
 
@@ -22,6 +24,8 @@
 #include "common/status.h"
 
 namespace rq {
+
+class Scanner;
 
 enum class RegexKind {
   kEmpty,     // the empty language
@@ -87,6 +91,10 @@ class Regex {
 
 // Parses the surface syntax above; interns new labels into `alphabet`.
 Result<RegexPtr> ParseRegex(std::string_view text, Alphabet* alphabet);
+
+// Parses one regex at the scanner's cursor, up to the first character that
+// cannot continue it (a C2RPQ atom's closing parenthesis).
+Result<RegexPtr> ParseRegex(Scanner& scan, Alphabet* alphabet);
 
 // Random regex for property tests/benches. `max_depth` bounds nesting;
 // `allow_inverse` controls whether inverse atoms may appear.

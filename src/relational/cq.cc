@@ -5,7 +5,7 @@
 
 #include "common/deadline.h"
 #include "common/mem.h"
-#include "common/strings.h"
+#include "common/scanner.h"
 #include "obs/subsystems.h"
 #include "obs/trace.h"
 
@@ -243,124 +243,38 @@ Result<bool> UcqContained(const UnionOfConjunctiveQueries& q1,
 
 namespace {
 
-// Shared by ParseCq and the Datalog parser: parses "pred(v1,...,vk)" atoms.
-struct AtomText {
-  std::string predicate;
-  std::vector<std::string> args;
-};
-
-Result<std::vector<AtomText>> ParseAtomList(std::string_view text) {
-  std::vector<AtomText> out;
-  size_t pos = 0;
-  auto skip_space = [&] {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  };
-  for (;;) {
-    skip_space();
-    if (pos >= text.size()) break;
-    size_t start = pos;
-    while (pos < text.size() && IsIdentChar(text[pos])) ++pos;
-    if (pos == start) {
-      return InvalidArgumentError("atom list: expected predicate name at '" +
-                                  std::string(text.substr(pos)) + "'");
-    }
-    AtomText atom;
-    atom.predicate = std::string(text.substr(start, pos - start));
-    skip_space();
-    if (pos >= text.size() || text[pos] != '(') {
-      return InvalidArgumentError("atom list: expected '(' after " +
-                                  atom.predicate);
-    }
-    ++pos;
-    for (;;) {
-      skip_space();
-      size_t vstart = pos;
-      while (pos < text.size() && IsIdentChar(text[pos])) ++pos;
-      if (pos == vstart) {
-        return InvalidArgumentError("atom list: expected variable in " +
-                                    atom.predicate);
-      }
-      atom.args.emplace_back(text.substr(vstart, pos - vstart));
-      skip_space();
-      if (pos < text.size() && text[pos] == ',') {
-        ++pos;
-        continue;
-      }
-      break;
-    }
-    if (pos >= text.size() || text[pos] != ')') {
-      return InvalidArgumentError("atom list: expected ')' in " +
-                                  atom.predicate);
-    }
-    ++pos;
-    out.push_back(std::move(atom));
-    skip_space();
-    if (pos < text.size() && text[pos] == ',') {
-      ++pos;
-      continue;
-    }
-    break;
-  }
-  if (pos != text.size()) {
-    return InvalidArgumentError("atom list: trailing input '" +
-                                std::string(text.substr(pos)) + "'");
-  }
-  return out;
+// One CQ on the rule front end; its body atoms are `p(v, ...)`.
+Result<ConjunctiveQuery> ReadCq(Scanner& scan) {
+  ConjunctiveQuery query;
+  VarTable vars;
+  RQ_ASSIGN_OR_RETURN(RuleAtom head, ParseRule(scan, vars, [&]() -> Status {
+    RQ_ASSIGN_OR_RETURN(RuleAtom atom, ParseAtom(scan, vars));
+    query.atoms.push_back({std::string(atom.name), std::move(atom.vars)});
+    return Status::Ok();
+  }));
+  query.head = std::move(head.vars);
+  query.num_vars = vars.size();
+  query.var_names = vars.TakeNames();
+  RQ_RETURN_IF_ERROR(query.Validate());
+  return query;
 }
 
 }  // namespace
 
 Result<ConjunctiveQuery> ParseCq(std::string_view text) {
-  size_t sep = text.find(":-");
-  if (sep == std::string_view::npos) {
-    return InvalidArgumentError("CQ: missing ':-' in '" + std::string(text) +
-                                "'");
-  }
-  RQ_ASSIGN_OR_RETURN(std::vector<AtomText> head_atoms,
-                      ParseAtomList(StripWhitespace(text.substr(0, sep))));
-  if (head_atoms.size() != 1) {
-    return InvalidArgumentError("CQ: head must be a single atom");
-  }
-  RQ_ASSIGN_OR_RETURN(std::vector<AtomText> body_atoms,
-                      ParseAtomList(StripWhitespace(text.substr(sep + 2))));
-  if (body_atoms.empty()) {
-    return InvalidArgumentError("CQ: empty body");
-  }
-
-  ConjunctiveQuery query;
-  std::unordered_map<std::string, VarId> var_ids;
-  auto intern = [&](const std::string& name) {
-    auto it = var_ids.find(name);
-    if (it != var_ids.end()) return it->second;
-    VarId id = query.num_vars++;
-    var_ids.emplace(name, id);
-    query.var_names.push_back(name);
-    return id;
-  };
-  for (const std::string& v : head_atoms[0].args) {
-    query.head.push_back(intern(v));
-  }
-  for (const AtomText& atom : body_atoms) {
-    CqAtom out;
-    out.predicate = atom.predicate;
-    for (const std::string& v : atom.args) out.vars.push_back(intern(v));
-    query.atoms.push_back(std::move(out));
-  }
-  RQ_RETURN_IF_ERROR(query.Validate());
+  Scanner scan(text, "CQ");
+  RQ_ASSIGN_OR_RETURN(ConjunctiveQuery query, ReadCq(scan));
+  RQ_RETURN_IF_ERROR(scan.ExpectEnd());
   return query;
 }
 
 Result<UnionOfConjunctiveQueries> ParseUcq(std::string_view text) {
   UnionOfConjunctiveQueries out;
-  for (const std::string& line : StrSplit(text, '\n')) {
-    std::string_view stripped = StripWhitespace(line);
-    if (stripped.empty() || stripped[0] == '#') continue;
-    RQ_ASSIGN_OR_RETURN(ConjunctiveQuery q, ParseCq(stripped));
-    out.disjuncts.push_back(std::move(q));
-  }
+  RQ_RETURN_IF_ERROR(ForEachStatement(text, "CQ", [&](Scanner& scan) -> Status {
+    RQ_ASSIGN_OR_RETURN(ConjunctiveQuery query, ReadCq(scan));
+    out.disjuncts.push_back(std::move(query));
+    return Status::Ok();
+  }));
   RQ_RETURN_IF_ERROR(out.Validate());
   return out;
 }

@@ -91,7 +91,8 @@ Result<bool> UcqContained(const UnionOfConjunctiveQueries& q1,
 // ignored (queries are anonymous); variables are identifiers.
 Result<ConjunctiveQuery> ParseCq(std::string_view text);
 
-// Parses one CQ per non-empty line into a UCQ.
+// Parses one CQ per line into a UCQ; blank lines and `#` or `%` comment
+// lines are skipped.
 Result<UnionOfConjunctiveQueries> ParseUcq(std::string_view text);
 
 // Random CQ for tests/benches: a connected pattern of `num_atoms` binary

@@ -1,10 +1,8 @@
 #include "rq/parser.h"
 
 #include <algorithm>
-#include <cctype>
-#include <unordered_map>
 
-#include "common/strings.h"
+#include "common/scanner.h"
 
 namespace rq {
 
@@ -12,157 +10,58 @@ namespace {
 
 class RqParser {
  public:
-  explicit RqParser(std::string_view text) : text_(text) {}
+  explicit RqParser(std::string_view text) : scan_(text, "rq") {}
 
   Result<RqQuery> Parse() {
     RqQuery query;
-    SkipSpace();
     // Optional explicit head: IDENT '(' vars ')' ':='.
-    size_t saved = pos_;
-    std::string ident;
-    if (TryIdent(&ident) && Peek() == '(' && !IsReserved(ident)) {
-      RQ_ASSIGN_OR_RETURN(std::vector<std::string> names, ParseVarList());
-      SkipSpace();
-      if (Peek() == ':' && pos_ + 1 < text_.size() &&
-          text_[pos_ + 1] == '=') {
-        pos_ += 2;
-        for (const std::string& name : names) {
-          explicit_head_.push_back(InternVar(name));
-        }
-        has_explicit_head_ = true;
-      } else {
-        pos_ = saved;  // it was an atom, reparse below
-        vars_.clear();
-        names_.clear();
-      }
-    } else {
-      pos_ = saved;
+    size_t start = scan_.pos();
+    std::string_view ident;
+    bool has_explicit_head = false;
+    std::vector<VarId> explicit_head;
+    if (scan_.ConsumeIdent(&ident) && scan_.Peek() == '(' &&
+        !IsReserved(ident)) {
+      RQ_ASSIGN_OR_RETURN(explicit_head, ParseVarList(scan_, vars_));
+      has_explicit_head = scan_.Consume(":=");
+    }
+    if (!has_explicit_head) {
+      scan_.Reset(start);  // it was an atom, reparse below
+      vars_ = VarTable();
     }
     RQ_ASSIGN_OR_RETURN(RqExprPtr root, ParseExpr());
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      return InvalidArgumentError("rq: trailing input at offset " +
-                                  std::to_string(pos_));
-    }
+    RQ_RETURN_IF_ERROR(scan_.ExpectEnd());
     query.root = root;
-    query.var_names = names_;
-    if (has_explicit_head_) {
-      for (VarId v : explicit_head_) {
+    if (has_explicit_head) {
+      for (VarId v : explicit_head) {
         const auto& fv = root->FreeVars();
         if (!std::binary_search(fv.begin(), fv.end(), v)) {
-          return InvalidArgumentError("rq: head variable '" +
-                                      names_[v] +
-                                      "' is not free in the expression");
+          return scan_.Error("head variable '" + vars_.name(v) +
+                             "' is not free in the expression");
         }
       }
-      query.head = explicit_head_;
+      query.head = explicit_head;
     } else {
       query.head = root->FreeVars();
     }
+    query.var_names = vars_.TakeNames();
     RQ_RETURN_IF_ERROR(query.Validate());
     return query;
   }
 
  private:
-  static bool IsReserved(const std::string& word) {
+  static bool IsReserved(std::string_view word) {
     return word == "exists" || word == "tc" || word == "eq";
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-  char Peek() {
-    SkipSpace();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-  bool TryConsume(char c) {
-    if (Peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool TryIdent(std::string* out) {
-    SkipSpace();
-    size_t start = pos_;
-    if (pos_ < text_.size() &&
-        (std::isalpha(static_cast<unsigned char>(text_[pos_])) ||
-         text_[pos_] == '_')) {
-      while (pos_ < text_.size() && IsIdentChar(text_[pos_])) ++pos_;
-      *out = std::string(text_.substr(start, pos_ - start));
-      return true;
-    }
-    return false;
-  }
-
-  VarId InternVar(const std::string& name) {
-    auto it = vars_.find(name);
-    if (it != vars_.end()) return it->second;
-    VarId id = static_cast<VarId>(names_.size());
-    vars_.emplace(name, id);
-    names_.push_back(name);
-    return id;
-  }
-
-  // Parses '(' name (',' name)* ')'.
-  Result<std::vector<std::string>> ParseVarList() {
-    if (!TryConsume('(')) {
-      return InvalidArgumentError("rq: expected '('");
-    }
-    std::vector<std::string> out;
-    for (;;) {
-      std::string name;
-      if (!TryIdent(&name)) {
-        return InvalidArgumentError("rq: expected variable name");
-      }
-      out.push_back(std::move(name));
-      if (TryConsume(',')) continue;
-      break;
-    }
-    if (!TryConsume(')')) {
-      return InvalidArgumentError("rq: expected ')'");
-    }
-    return out;
-  }
-
-  // Parses '[' name (',' name)* ']'.
-  Result<std::vector<VarId>> ParseBracketVars() {
-    if (!TryConsume('[')) {
-      return InvalidArgumentError("rq: expected '['");
-    }
-    std::vector<VarId> out;
-    for (;;) {
-      std::string name;
-      if (!TryIdent(&name)) {
-        return InvalidArgumentError("rq: expected variable in brackets");
-      }
-      out.push_back(InternVar(name));
-      if (TryConsume(',')) continue;
-      break;
-    }
-    if (!TryConsume(']')) {
-      return InvalidArgumentError("rq: expected ']'");
-    }
-    return out;
   }
 
   Result<RqExprPtr> ParseExpr() {
     RQ_ASSIGN_OR_RETURN(RqExprPtr first, ParseAnd());
     std::vector<RqExprPtr> parts{first};
-    while (TryConsume('|')) {
+    while (scan_.Consume("|")) {
       RQ_ASSIGN_OR_RETURN(RqExprPtr next, ParseAnd());
-      parts.push_back(next);
-    }
-    if (parts.size() > 1) {
-      for (size_t i = 1; i < parts.size(); ++i) {
-        if (parts[i]->FreeVars() != parts[0]->FreeVars()) {
-          return InvalidArgumentError(
-              "rq: disjuncts must have the same free variables");
-        }
+      if (next->FreeVars() != first->FreeVars()) {
+        return scan_.Error("disjuncts must have the same free variables");
       }
+      parts.push_back(next);
     }
     return RqExpr::Or(std::move(parts));
   }
@@ -170,7 +69,7 @@ class RqParser {
   Result<RqExprPtr> ParseAnd() {
     RQ_ASSIGN_OR_RETURN(RqExprPtr first, ParsePrim());
     std::vector<RqExprPtr> parts{first};
-    while (TryConsume('&')) {
+    while (scan_.Consume("&")) {
       RQ_ASSIGN_OR_RETURN(RqExprPtr next, ParsePrim());
       parts.push_back(next);
     }
@@ -178,43 +77,35 @@ class RqParser {
   }
 
   Result<RqExprPtr> ParsePrim() {
-    SkipSpace();
-    if (TryConsume('(')) {
-      RQ_ASSIGN_OR_RETURN(RqExprPtr inner, ParseExpr());
-      if (!TryConsume(')')) {
-        return InvalidArgumentError("rq: expected ')'");
-      }
-      return inner;
-    }
-    std::string ident;
-    if (!TryIdent(&ident)) {
-      return InvalidArgumentError("rq: expected atom or operator at offset " +
-                                  std::to_string(pos_));
-    }
+    if (scan_.Peek() == '(') return ParseParenExpr();
+    RQ_ASSIGN_OR_RETURN(std::string_view ident,
+                        scan_.ExpectIdent("atom or operator"));
     if (ident == "exists") {
-      RQ_ASSIGN_OR_RETURN(std::vector<VarId> bound, ParseBracketVars());
+      RQ_ASSIGN_OR_RETURN(std::vector<VarId> bound,
+                          ParseVarList(scan_, vars_, '[', ']'));
       RQ_ASSIGN_OR_RETURN(RqExprPtr child, ParseParenExpr());
       for (VarId v : bound) {
         const auto& fv = child->FreeVars();
         if (!std::binary_search(fv.begin(), fv.end(), v)) {
-          return InvalidArgumentError("rq: exists-variable '" + names_[v] +
-                                      "' is not free in its scope");
+          return scan_.Error("exists-variable '" + vars_.name(v) +
+                             "' is not free in its scope");
         }
       }
       return RqExpr::Exists(std::move(bound), std::move(child));
     }
     if (ident == "tc" || ident == "eq") {
-      RQ_ASSIGN_OR_RETURN(std::vector<VarId> pair, ParseBracketVars());
+      RQ_ASSIGN_OR_RETURN(std::vector<VarId> pair,
+                          ParseVarList(scan_, vars_, '[', ']'));
       if (pair.size() != 2 || pair[0] == pair[1]) {
-        return InvalidArgumentError("rq: " + ident +
-                                    " needs two distinct variables");
+        return scan_.Error(std::string(ident) +
+                           " needs two distinct variables");
       }
       RQ_ASSIGN_OR_RETURN(RqExprPtr child, ParseParenExpr());
       const auto& fv = child->FreeVars();
       for (VarId v : pair) {
         if (!std::binary_search(fv.begin(), fv.end(), v)) {
-          return InvalidArgumentError("rq: " + ident + " variable '" +
-                                      names_[v] + "' is not free");
+          return scan_.Error(std::string(ident) + " variable '" +
+                             vars_.name(v) + "' is not free");
         }
       }
       if (ident == "eq") {
@@ -225,30 +116,23 @@ class RqParser {
       return RqExpr::Closure(pair[0], pair[1], std::move(child));
     }
     // Atom.
-    RQ_ASSIGN_OR_RETURN(std::vector<std::string> args, ParseVarList());
-    std::vector<VarId> vars;
-    vars.reserve(args.size());
-    for (const std::string& a : args) vars.push_back(InternVar(a));
-    return RqExpr::Atom(ident, std::move(vars));
+    RQ_ASSIGN_OR_RETURN(std::vector<VarId> vars, ParseVarList(scan_, vars_));
+    return RqExpr::Atom(std::string(ident), std::move(vars));
   }
 
+  // '(' expr ')': a parenthesized expression or an operator body, one
+  // nesting level each.
   Result<RqExprPtr> ParseParenExpr() {
-    if (!TryConsume('(')) {
-      return InvalidArgumentError("rq: expected '('");
-    }
+    RQ_RETURN_IF_ERROR(scan_.Expect("("));
+    RQ_RETURN_IF_ERROR(scan_.Enter());
     RQ_ASSIGN_OR_RETURN(RqExprPtr inner, ParseExpr());
-    if (!TryConsume(')')) {
-      return InvalidArgumentError("rq: expected ')'");
-    }
+    RQ_RETURN_IF_ERROR(scan_.Expect(")"));
+    scan_.Leave();
     return inner;
   }
 
-  std::string_view text_;
-  size_t pos_ = 0;
-  std::unordered_map<std::string, VarId> vars_;
-  std::vector<std::string> names_;
-  bool has_explicit_head_ = false;
-  std::vector<VarId> explicit_head_;
+  Scanner scan_;
+  VarTable vars_;
 };
 
 }  // namespace

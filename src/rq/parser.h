@@ -12,7 +12,8 @@
 // Example — the transitive closure of the paper's triangle query (§3.4):
 //   q(x, y) := tc[x,y]( exists[z]( r(x,y) & r(y,z) & r(z,x) ) )
 // Without an explicit head, the head is the sorted free variables.
-// 'exists', 'tc' and 'eq' are reserved words.
+// 'exists', 'tc' and 'eq' are reserved words. Parentheses and operator
+// bodies nest at most kMaxNesting levels (common/scanner.h).
 #ifndef RQ_RQ_PARSER_H_
 #define RQ_RQ_PARSER_H_
 

@@ -1,26 +1,15 @@
 #include "server/graph_store.h"
 
-#include <chrono>
 #include <utility>
 
 #include "cache/key.h"
+#include "common/clock.h"
 #include "common/deadline.h"
 #include "obs/subsystems.h"
 #include "rq/eval.h"
 
 namespace rq {
 namespace server {
-
-namespace {
-
-uint64_t NowNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 RelationalImage::RelationalImage(std::shared_ptr<const GraphDb> graph)
     : state_(std::make_shared<State>()) {
@@ -64,7 +53,7 @@ uint64_t GraphStore::epoch() const {
 }
 
 void GraphStore::PublishLocked() {
-  uint64_t start_ns = NowNanos();
+  uint64_t start_ns = SteadyNowNs();
   auto view = std::make_shared<GraphView>();
   view->epoch = epoch_;
   // The published graph is a frozen COPY of the master: later Apply()
@@ -83,7 +72,7 @@ void GraphStore::PublishLocked() {
   }
   auto& counters = obs::GraphEvalCounters::Get();
   counters.epoch.Set(static_cast<int64_t>(epoch_));
-  counters.rebuild_ns.Record(NowNanos() - start_ns);
+  counters.rebuild_ns.Record(SteadyNowNs() - start_ns);
 }
 
 Result<GraphStore::UpdateResult> GraphStore::Apply(

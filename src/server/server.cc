@@ -10,10 +10,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <utility>
 
+#include "common/clock.h"
 #include "obs/export.h"
 #include "obs/flight_recorder.h"
 #include "obs/prometheus.h"
@@ -23,13 +23,6 @@ namespace rq {
 namespace server {
 
 namespace {
-
-uint64_t NowNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // Clips an optional request value to an optional server cap; 0 = unset on
 // both sides.
@@ -436,7 +429,7 @@ void QueryServer::HandleFrames(const ConnPtr& conn) {
                  server_pot_.total_bytes() > options_.max_inflight_bytes) {
         shed_reason = "in-flight request memory over threshold";
       } else {
-        Job job{conn, std::move(request), GraphView{}, NowNanos()};
+        Job job{conn, std::move(request), GraphView{}, SteadyNowNs()};
         // Pin the graph version at admission: however long the job waits
         // behind later updates, it evaluates against this view.
         if (job.request.type == RequestType::kEval &&
@@ -481,7 +474,7 @@ void QueryServer::WorkerLoop() {
     }
     inflight_.fetch_add(1);
     counters.inflight_requests.Add(1);
-    counters.queue_wait_ns.Record(NowNanos() - job.enqueue_ns);
+    counters.queue_wait_ns.Record(SteadyNowNs() - job.enqueue_ns);
     ExecuteJob(job);
     inflight_.fetch_sub(1);
     counters.inflight_requests.Add(-1);
@@ -505,7 +498,7 @@ ExecContext QueryServer::RequestContext(const Request& request) {
 
 void QueryServer::ExecuteJob(Job& job) {
   auto& counters = obs::ServerCounters::Get();
-  uint64_t start_ns = NowNanos();
+  uint64_t start_ns = SteadyNowNs();
   obs::JsonValue response;
   ExecContext exec_ctx = RequestContext(job.request);
   {
@@ -527,12 +520,12 @@ void QueryServer::ExecuteJob(Job& job) {
                              "memory budget exceeded (deadline also expired)");
   }
   WriteResponse(job.conn, response);
-  counters.request_latency_ns.Record(NowNanos() - start_ns);
+  counters.request_latency_ns.Record(SteadyNowNs() - start_ns);
 }
 
 obs::JsonValue QueryServer::ExecuteUpdate(const Request& request) {
   auto& counters = obs::ServerCounters::Get();
-  uint64_t start_ns = NowNanos();
+  uint64_t start_ns = SteadyNowNs();
   Result<GraphStore::UpdateResult> applied = [&] {
     // Same resource envelope as worker-side requests: the incremental
     // closure maintenance inside Apply polls this context, and its
@@ -559,7 +552,7 @@ obs::JsonValue QueryServer::ExecuteUpdate(const Request& request) {
                  obs::JsonValue::Number(
                      static_cast<uint64_t>(applied->closure_pairs)));
   }
-  counters.request_latency_ns.Record(NowNanos() - start_ns);
+  counters.request_latency_ns.Record(SteadyNowNs() - start_ns);
   return response;
 }
 

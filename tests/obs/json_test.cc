@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
+#include <thread>
+
+#include "common/scanner.h"
 
 #include "obs/chrome_trace.h"
 #include "obs/counters.h"
@@ -52,6 +56,35 @@ TEST(JsonTest, ParseRejectsMalformedInput) {
   EXPECT_FALSE(JsonValue::Parse("{\"a\":1} trailing").ok());
   EXPECT_FALSE(JsonValue::Parse("'single'").ok());
   EXPECT_FALSE(JsonValue::Parse("{\"a\" 1}").ok());
+}
+
+std::string Repeat(std::string_view piece, size_t n) {
+  std::string out;
+  for (size_t i = 0; i < n; ++i) out.append(piece);
+  return out;
+}
+
+TEST(JsonTest, NestingStopsAtTheQueryBound) {
+  auto arrays = [](size_t levels) {
+    return Repeat("[", levels) + Repeat("]", levels);
+  };
+  auto objects = [](size_t levels) {
+    return Repeat("{\"a\":", levels) + "1" + Repeat("}", levels);
+  };
+  EXPECT_TRUE(JsonValue::Parse(arrays(kMaxNesting)).ok());
+  EXPECT_TRUE(JsonValue::Parse(objects(kMaxNesting)).ok());
+  EXPECT_EQ(JsonValue::Parse(arrays(kMaxNesting + 1)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(JsonValue::Parse(objects(kMaxNesting + 1)).status().code(),
+            StatusCode::kInvalidArgument);
+  // Siblings do not add up: only depth counts.
+  EXPECT_TRUE(JsonValue::Parse("[" + Repeat("[[]],", 1000) + "[]]").ok());
+  // A request is parsed on its connection's reader thread.
+  std::thread reader([&] {
+    EXPECT_EQ(JsonValue::Parse(arrays(100000)).status().code(),
+              StatusCode::kInvalidArgument);
+  });
+  reader.join();
 }
 
 TEST(JsonTest, SnapshotExportRoundTrips) {

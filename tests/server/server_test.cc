@@ -5,6 +5,11 @@
 // ephemeral ports, so the binary is hermetic.
 #include "server/server.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <string>
 #include <thread>
@@ -351,6 +356,71 @@ TEST(QueryServerTest, RequestCountersBalance) {
   EXPECT_EQ(delta.Delta("server.responses"), 5u);
   EXPECT_EQ(delta.Delta("server.connections"), 1u);
   EXPECT_EQ(delta.Delta("server.shed"), 0u);
+}
+
+std::string Repeat(std::string_view piece, size_t n) {
+  std::string out;
+  out.reserve(piece.size() * n);
+  for (size_t i = 0; i < n; ++i) out.append(piece);
+  return out;
+}
+
+// A raw loopback connection, for frames no JsonValue can carry: Dump()
+// recurses once per nesting level.
+int ConnectRaw(uint16_t port) {
+  int fd = socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  inet_pton(AF_INET, kHost, &addr.sin_addr);
+  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+Result<obs::JsonValue> CallRaw(int fd, std::string_view payload) {
+  RQ_RETURN_IF_ERROR(WriteFrame(fd, payload));
+  std::string response;
+  bool clean_eof = false;
+  RQ_RETURN_IF_ERROR(ReadFrame(fd, &response, &clean_eof));
+  if (clean_eof) return InternalError("server closed the connection");
+  return obs::JsonValue::Parse(response);
+}
+
+// Each of these frames, far below the frame cap, used to overflow a
+// thread's stack and kill the process: a 20 KB regex nesting 10,000
+// parentheses, 100,000 stacked postfix operators, and a request id nesting
+// 100,000 arrays.
+TEST(QueryServerTest, DeeplyNestedFramesGetInvalidRequestAndServingGoesOn) {
+  QueryServer server(ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  int fd = ConnectRaw(server.port());
+  ASSERT_GE(fd, 0);
+  const std::string frames[] = {
+      R"({"type":"containment","id":1,"class":"rpq","q1":")" +
+          Repeat("(", 10000) + "a" + Repeat(")", 10000) + R"(","q2":"a"})",
+      R"({"type":"containment","id":2,"class":"rpq","q1":"a)" +
+          Repeat("+?", 100000) + R"(","q2":"a"})",
+      R"({"type":"health","id":)" + Repeat("[", 100000) +
+          Repeat("]", 100000) + "}",
+  };
+  for (const std::string& frame : frames) {
+    auto response = CallRaw(fd, frame);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_FALSE(response->Find("ok")->bool_value());
+    EXPECT_EQ(ErrorCode(*response), "invalid_request");
+    // The error quotes an excerpt, not the request.
+    EXPECT_LT(response->Dump().size(), 300u);
+  }
+  auto health = CallRaw(fd, R"({"type":"health","id":9})");
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_TRUE(health->Find("ok")->bool_value());
+  EXPECT_EQ(health->Find("id")->number_value(), 9);
+  close(fd);
+  server.DrainAndWait();
 }
 
 }  // namespace
