@@ -5,9 +5,36 @@
 // and exit codes.
 //
 // Common flags, each valued one as `--flag value` or `--flag=value`:
-//   --trace --profile --profile-json P --stats-json P --chrome-trace P
-//   --flight-dump P --prometheus P --cache --jobs N --timeout-ms N
-//   --memory-budget-mb N
+//   --trace               print the span tree of the query (plus non-zero
+//                         counters, gauges and histograms and any
+//                         dropped-span count) to stderr
+//   --profile             print an EXPLAIN ANALYZE-style per-query report
+//                         (plan notes, counters, distributions, gauge
+//                         levels, memory peaks, batch-worker rows) after
+//                         the answer
+//   --profile-json P      write the same report as JSON (rq-profile/1)
+//   --stats-json P        write the observability snapshot (counters,
+//                         gauges, histograms, spans; rq-obs/2)
+//   --chrome-trace P      write the spans as Chrome trace-event JSON
+//                         (Perfetto; one lane per batch worker thread)
+//   --flight-dump P       write the flight recorder's ring of completed
+//                         queries plus the slow-query log ("-" = stderr);
+//                         the ring also dumps to stderr from the
+//                         fatal-signal handler
+//   --prometheus P        write every counter, gauge and histogram in
+//                         Prometheus text exposition format
+//   --cache               enable the content-addressed automata/verdict
+//                         cache (docs/CACHING.md)
+//   --jobs N              the process-wide worker count
+//   --timeout-ms N        wall-clock budget for the query: expiry fails
+//                         with DeadlineExceeded instead of hanging and
+//                         bumps deadline.expired (docs/ROBUSTNESS.md)
+//   --memory-budget-mb N  byte budget for the query: crossing it fails
+//                         with ResourceExhausted (exit 4, not a crash)
+//                         through the same polling sites as --timeout-ms
+//                         and bumps mem.budget_exceeded. The query always
+//                         runs under an ExecContext, so --profile reports
+//                         a per-subsystem peak-byte breakdown either way
 #ifndef RQ_EXAMPLES_CLI_OBS_H_
 #define RQ_EXAMPLES_CLI_OBS_H_
 
@@ -35,6 +62,12 @@ namespace cli {
 
 // Exit code of a query whose byte budget tripped, for both tools.
 inline constexpr int kMemoryBudgetExit = 4;
+
+// The common flags, as a usage line shows them.
+inline constexpr char kFlagsUsage[] =
+    "[--trace] [--profile] [--profile-json <path>] [--stats-json <path>] "
+    "[--chrome-trace <path>] [--flight-dump <path>] [--prometheus <path>] "
+    "[--cache] [--jobs N] [--timeout-ms N] [--memory-budget-mb N]";
 
 struct ObsFlags {
   bool trace = false;

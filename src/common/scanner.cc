@@ -1,16 +1,12 @@
 #include "common/scanner.h"
 
-#include <algorithm>
 #include <cctype>
 
 namespace rq {
 
-namespace {
-
-// How much of the input an error quotes.
-constexpr size_t kExcerptBytes = 16;
-
-}  // namespace
+std::string Excerpt(std::string_view text) {
+  return std::string(text.substr(0, kExcerptBytes));
+}
 
 void Scanner::SkipSpace() {
   while (pos_ < end_ && std::isspace(static_cast<unsigned char>(text_[pos_]))) {
@@ -72,8 +68,7 @@ Status Scanner::Error(std::string_view message) const {
   std::string out = std::string(syntax_) + ": " + std::string(message) +
                     " at offset " + std::to_string(pos_);
   if (pos_ < end_) {
-    size_t excerpt = std::min(kExcerptBytes, end_ - pos_);
-    out += " near '" + std::string(text_.substr(pos_, excerpt)) + "'";
+    out += " near '" + Excerpt(text_.substr(pos_, end_ - pos_)) + "'";
   } else {
     out += end_ < text_.size() ? " (end of line)" : " (end of input)";
   }

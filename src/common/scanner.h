@@ -28,6 +28,14 @@ namespace rq {
 // request decoder bounds arrays and objects by the same constant.
 inline constexpr size_t kMaxNesting = 256;
 
+// How much of a query an error quotes: the input at the error, or a name
+// read from it.
+inline constexpr size_t kExcerptBytes = 16;
+
+// The first kExcerptBytes bytes of `text`. Every message that quotes query
+// text goes through here, so a huge query never makes a huge message.
+std::string Excerpt(std::string_view text);
+
 class Scanner {
  public:
   // `syntax` names the syntax in errors ("regex", "CQ", ...).

@@ -1,19 +1,10 @@
-// Unified query-containment entry points (the decision problems the paper
-// tracks across its whole ladder, §2.3/§3.2/§3.3/§3.4/§4).
-//
-// Exact procedures by class (all implemented in the modules below and
-// re-exported here):
-//   RPQ  ⊑ RPQ    — automata/containment.h + pathquery/containment.h
-//   2RPQ ⊑ 2RPQ   — pathquery/containment.h   (fold pipeline, Theorem 5)
-//   CQ   ⊑ CQ     — relational/cq.h           (Chandra-Merlin)
-//   UCQ  ⊑ UCQ    — relational/cq.h           (Sagiv-Yannakakis)
-//   RQ   ⊑ RQ     — rq/containment.h          (dispatch + expansions)
-//
-// This header adds Datalog ⊑ Datalog: when both programs are GRQ
-// (recursion = transitive closure only), containment goes through the RQ
-// extraction exactly as §4.1 prescribes; otherwise the checker falls back
-// to bounded proof-tree expansions, which refute exactly and prove only
-// for nonrecursive left-hand sides.
+// Datalog ⊑ Datalog, the top of the paper's ladder (§4). When both
+// programs are GRQ (recursion = transitive closure only), containment goes
+// through the RQ extraction exactly as §4.1 prescribes; otherwise the
+// checker falls back to bounded proof-tree expansions, which refute
+// exactly and prove only for nonrecursive left-hand sides. The query front
+// door (query/query.h) picks the procedure for every class, this one
+// included.
 #ifndef RQ_CONTAINMENT_CONTAINMENT_H_
 #define RQ_CONTAINMENT_CONTAINMENT_H_
 

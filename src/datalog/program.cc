@@ -12,7 +12,7 @@ Result<PredId> DatalogProgram::InternPredicate(std::string_view name,
   if (it != index_.end()) {
     if (arities_[it->second] != arity) {
       return InvalidArgumentError(
-          "predicate " + std::string(name) + " used with arity " +
+          "predicate " + Excerpt(name) + " used with arity " +
           std::to_string(arity) + " but declared with arity " +
           std::to_string(arities_[it->second]));
     }
@@ -28,7 +28,7 @@ Result<PredId> DatalogProgram::InternPredicate(std::string_view name,
 Result<PredId> DatalogProgram::FindPredicate(std::string_view name) const {
   auto it = index_.find(std::string(name));
   if (it == index_.end()) {
-    return NotFoundError("unknown predicate: " + std::string(name));
+    return NotFoundError("unknown predicate: " + Excerpt(name));
   }
   return it->second;
 }
@@ -71,11 +71,11 @@ Status DatalogProgram::Validate() const {
     }
     if (rule.head.vars.size() != arities_[rule.head.predicate]) {
       return InvalidArgumentError("rule head arity mismatch for " +
-                                  names_[rule.head.predicate]);
+                                  Excerpt(names_[rule.head.predicate]));
     }
     if (rule.body.empty()) {
       return InvalidArgumentError(
-          "rule for " + names_[rule.head.predicate] +
+          "rule for " + Excerpt(names_[rule.head.predicate]) +
           " has an empty body (facts belong in the EDB)");
     }
     std::vector<bool> in_body(rule.num_vars, false);
@@ -85,7 +85,7 @@ Status DatalogProgram::Validate() const {
       }
       if (atom.vars.size() != arities_[atom.predicate]) {
         return InvalidArgumentError("body arity mismatch for " +
-                                    names_[atom.predicate]);
+                                    Excerpt(names_[atom.predicate]));
       }
       for (VarId v : atom.vars) {
         if (v >= rule.num_vars) {
@@ -100,7 +100,7 @@ Status DatalogProgram::Validate() const {
       }
       if (!in_body[v]) {
         return InvalidArgumentError(
-            "rule for " + names_[rule.head.predicate] +
+            "rule for " + Excerpt(names_[rule.head.predicate]) +
             " is not range restricted (head variable not in body)");
       }
     }

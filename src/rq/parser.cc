@@ -35,7 +35,7 @@ class RqParser {
       for (VarId v : explicit_head) {
         const auto& fv = root->FreeVars();
         if (!std::binary_search(fv.begin(), fv.end(), v)) {
-          return scan_.Error("head variable '" + vars_.name(v) +
+          return scan_.Error("head variable '" + Excerpt(vars_.name(v)) +
                              "' is not free in the expression");
         }
       }
@@ -87,7 +87,7 @@ class RqParser {
       for (VarId v : bound) {
         const auto& fv = child->FreeVars();
         if (!std::binary_search(fv.begin(), fv.end(), v)) {
-          return scan_.Error("exists-variable '" + vars_.name(v) +
+          return scan_.Error("exists-variable '" + Excerpt(vars_.name(v)) +
                              "' is not free in its scope");
         }
       }
@@ -105,7 +105,7 @@ class RqParser {
       for (VarId v : pair) {
         if (!std::binary_search(fv.begin(), fv.end(), v)) {
           return scan_.Error(std::string(ident) + " variable '" +
-                             vars_.name(v) + "' is not free");
+                             Excerpt(vars_.name(v)) + "' is not free");
         }
       }
       if (ident == "eq") {

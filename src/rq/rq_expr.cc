@@ -146,6 +146,18 @@ std::string NameOf(const std::vector<std::string>& names, VarId v) {
   return "v" + std::to_string(v);
 }
 
+// An operator body in the parentheses the parser reads it in. A
+// conjunction or disjunction prints its own pair; a second pair would add
+// a nesting level per operator.
+std::string BodyToString(const RqExpr& body,
+                         const std::vector<std::string>& names) {
+  std::string text = body.ToString(names);
+  if (body.kind() == RqExpr::Kind::kAnd || body.kind() == RqExpr::Kind::kOr) {
+    return text;
+  }
+  return "(" + text + ")";
+}
+
 }  // namespace
 
 std::string RqExpr::ToString(const std::vector<std::string>& names) const {
@@ -180,14 +192,14 @@ std::string RqExpr::ToString(const std::vector<std::string>& names) const {
         if (i > 0) out += ", ";
         out += NameOf(names, bound_vars_[i]);
       }
-      return out + "](" + children_[0]->ToString(names) + ")";
+      return out + "]" + BodyToString(*children_[0], names);
     }
     case Kind::kEq:
       return "eq[" + NameOf(names, var_a_) + ", " + NameOf(names, var_b_) +
-             "](" + children_[0]->ToString(names) + ")";
+             "]" + BodyToString(*children_[0], names);
     case Kind::kClosure:
       return "tc[" + NameOf(names, var_a_) + ", " + NameOf(names, var_b_) +
-             "](" + children_[0]->ToString(names) + ")";
+             "]" + BodyToString(*children_[0], names);
   }
   RQ_CHECK(false);
   return "";

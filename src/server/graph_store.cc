@@ -6,24 +6,9 @@
 #include "common/clock.h"
 #include "common/deadline.h"
 #include "obs/subsystems.h"
-#include "rq/eval.h"
 
 namespace rq {
 namespace server {
-
-RelationalImage::RelationalImage(std::shared_ptr<const GraphDb> graph)
-    : state_(std::make_shared<State>()) {
-  state_->graph = std::move(graph);
-}
-
-const Database& RelationalImage::operator*() const {
-  RQ_CHECK(state_ != nullptr);
-  std::call_once(state_->built, [this] {
-    state_->database = GraphToDatabase(*state_->graph);
-    state_->database.BuildIndexes();
-  });
-  return state_->database;
-}
 
 GraphStore::GraphStore(GraphStoreOptions options)
     : options_(options), closures_(options.incr_delta_budget) {
@@ -61,10 +46,8 @@ void GraphStore::PublishLocked() {
   // this version (the aliasing contract in graph/graph_db.h makes the
   // snapshot safe even against the master itself, but the relational image
   // and NodeName rendering need a stable GraphDb too).
-  auto frozen = std::make_shared<const GraphDb>(master_);
-  view->graph = frozen;
-  view->snapshot = frozen->Snapshot();
-  view->database = RelationalImage(frozen);
+  EvalTarget& target = *view;
+  target = EvalTarget(std::make_shared<const GraphDb>(master_));
   view->closures = std::make_shared<const ClosureMap>(closure_images_);
   {
     std::lock_guard<std::mutex> lock(view_mu_);

@@ -3,8 +3,8 @@
 //
 // The store owns the master GraphDb behind a writer mutex and publishes
 // immutable GraphViews: a frozen copy of the graph, its CSR snapshot
-// (graph/snapshot.h), a handle to its relational image (rq/eval.h
-// GraphToDatabase), and one sorted image per incrementally maintained
+// (graph/snapshot.h), a handle to its relational image (query/query.h
+// RelationalImage), and one sorted image per incrementally maintained
 // label closure (relational/incremental.h) — all behind one monotonically
 // increasing epoch. Consistency model:
 //
@@ -46,6 +46,7 @@
 #include "common/status.h"
 #include "graph/graph_db.h"
 #include "graph/snapshot.h"
+#include "query/query.h"
 #include "relational/incremental.h"
 #include "relational/relation.h"
 #include "server/protocol.h"
@@ -53,37 +54,14 @@
 namespace rq {
 namespace server {
 
-// The relational image of one view's graph (rq/eval.h GraphToDatabase),
-// built on first use: the first dereference builds it and every column
-// index of its relations, concurrent first uses wait for that one build
-// (std::call_once), and every copy of the handle — every GraphView of the
-// epoch, including SeedClosure's same-epoch republish — shares the
-// result. After the build, rq and datalog evals only read it.
-class RelationalImage {
- public:
-  RelationalImage() = default;  // no graph: must not be dereferenced
-  explicit RelationalImage(std::shared_ptr<const GraphDb> graph);
-
-  const Database& operator*() const;
-  const Database* operator->() const { return &**this; }
-
- private:
-  struct State {
-    std::once_flag built;
-    std::shared_ptr<const GraphDb> graph;
-    Database database;
-  };
-  std::shared_ptr<State> state_;
-};
-
-// One published graph version. Copy freely across threads; every
-// component is shared and immutable once published, except the relational
-// image, which is filled in once on first use.
-struct GraphView {
+// One published graph version: the eval target (query/query.h) of one
+// epoch, plus the closures maintained at that epoch. Copy freely across
+// threads; every component is shared and immutable once published, except
+// the relational image, which is built once on first use and shared by
+// every GraphView of the epoch, including SeedClosure's same-epoch
+// republish.
+struct GraphView : EvalTarget {
   uint64_t epoch = 0;
-  std::shared_ptr<const GraphDb> graph;        // null until a graph exists
-  std::shared_ptr<const GraphSnapshot> snapshot;
-  RelationalImage database;
   // label id -> sorted image of that label's maintained transitive
   // closure; absent labels are not (currently) maintained.
   std::shared_ptr<

@@ -1,6 +1,8 @@
-// Request execution for the query service: maps one decoded protocol
-// Request onto the library's checkers and evaluators and renders the
-// response document. Handlers run on server worker threads with the
+// Request execution for the query service: hands one decoded protocol
+// Request to the query front door (query/query.h), which holds the class
+// table, and renders the response document. Around eval it keeps what
+// only a server has: the pinned view, the epoch-keyed answer cache and the
+// maintained closures. Handlers run on server worker threads with the
 // per-request ExecContext already installed (server.cc), so deadline and
 // budget trips surface here as non-OK Statuses and become
 // `deadline_exceeded` / `resource_exhausted` wire errors.
@@ -45,10 +47,11 @@ struct HandlerContext {
 // must bound its response frames).
 inline constexpr int64_t kDefaultMaxTuples = 10000;
 
-// Executes containment / equivalence / eval / stats / sleep requests and
-// returns the complete response document (never throws; failures come back
-// as {"ok": false} responses). kHealth is answered by the server itself —
-// passing it here is an internal error response.
+// Executes containment / equivalence / eval / sleep requests and returns
+// the complete response document (never throws; failures come back as
+// {"ok": false} responses). Health, stats and update are answered by the
+// server's reader thread — passing one here is an internal error
+// response.
 obs::JsonValue ExecuteRequest(const Request& request,
                               const HandlerContext& ctx);
 

@@ -144,7 +144,15 @@ Status WriteFrame(int fd, std::string_view payload) {
 
 Status ReadFrame(int fd, std::string* payload, bool* clean_eof,
                  size_t max_frame_bytes) {
-  payload->clear();
+  // Payload bytes are read in bounded chunks, so a header alone never
+  // allocates the whole frame; a buffer an earlier frame grew past one
+  // chunk is given back before this frame is read.
+  constexpr size_t kReadChunkBytes = 64u << 10;
+  if (payload->capacity() > kReadChunkBytes) {
+    std::string().swap(*payload);
+  } else {
+    payload->clear();
+  }
   *clean_eof = false;
   char header[4];
   bool eof = false;
@@ -166,9 +174,6 @@ Status ReadFrame(int fd, std::string* payload, bool* clean_eof,
                                 std::to_string(max_frame_bytes) +
                                 "-byte frame limit");
   }
-  // Grow the buffer as payload bytes arrive, one bounded chunk at a time:
-  // the header alone must not make the reader allocate the whole frame.
-  constexpr size_t kReadChunkBytes = 64u << 10;
   while (payload->size() < n) {
     size_t offset = payload->size();
     size_t chunk = std::min<size_t>(kReadChunkBytes, n - offset);

@@ -78,7 +78,9 @@ Status WriteRaw(int fd, std::string_view bytes);
 // peer close before any header byte, returns OK with *clean_eof = true and
 // an empty payload; EOF mid-frame and oversized announcements are errors.
 // The payload grows only as its bytes arrive, so a header alone never
-// makes the reader allocate up to the announced length.
+// makes the reader allocate up to the announced length, and a buffer that
+// an earlier frame grew past one read chunk is released first, so a
+// connection holds a big frame's memory only while reading it.
 Status ReadFrame(int fd, std::string* payload, bool* clean_eof,
                  size_t max_frame_bytes = kMaxFrameBytes);
 

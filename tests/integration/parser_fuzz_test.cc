@@ -464,5 +464,33 @@ TEST_P(ParserFuzzTest, RqRaisedFromRandomRegexesRoundTrips) {
   EXPECT_GT(raised, 0);
 }
 
+// exists, tc and eq in turn, each around a conjunction or disjunction, so
+// the body's own parentheses are its one nesting level: the query sits
+// just under the bound, and so must its printed form.
+TEST(ParserRoundTripTest, RqNestedJustUnderTheBoundRoundTrips) {
+  std::string text = "r(x, y)";
+  for (size_t level = 1; level < kMaxNesting; ++level) {
+    std::string z = "z" + std::to_string(level);
+    switch (level % 3) {
+      case 0:
+        text = "exists[" + z + "](r(x, " + z + ") & s(" + z + ", y) & " +
+               text + ")";
+        break;
+      case 1:
+        text = "tc[x, y](" + text + " | r(x, y))";
+        break;
+      default:
+        text = "eq[x, y](" + text + " & r(x, y))";
+        break;
+    }
+  }
+  auto parsed = ParseRq("q(x, y) := " + text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  std::string printed = parsed->ToString();
+  auto reparsed = ParseRq(printed);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_EQ(reparsed->ToString(), printed);
+}
+
 }  // namespace
 }  // namespace rq

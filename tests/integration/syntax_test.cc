@@ -87,6 +87,26 @@ TEST(SyntaxErrorTest, ErrorsQuoteAShortExcerpt) {
   EXPECT_LT(message.size(), 100u) << message.substr(0, 200);
 }
 
+// Errors found once a name has been read (an unknown goal, a head or
+// operator variable that is not free, a predicate used at two arities)
+// quote the name by the same short excerpt.
+TEST(SyntaxErrorTest, SemanticErrorsQuoteAShortName) {
+  const std::string name(1 << 20, 'n');
+  const Status errors[] = {
+      ParseDatalog("p(X) :- e(X, X).\n?- " + name + ".").status(),
+      ParseDatalog(name + "(X) :- e(X, X).\np(X) :- " + name + "(X, X).")
+          .status(),
+      ParseRq("q(x, " + name + ") := r(x, x)").status(),
+      ParseRq("exists[" + name + "](r(x, y))").status(),
+      ParseRq("tc[x, " + name + "](r(x, y))").status(),
+  };
+  for (const Status& status : errors) {
+    ASSERT_FALSE(status.ok());
+    EXPECT_LT(status.message().size(), 200u)
+        << status.message().substr(0, 300);
+  }
+}
+
 TEST(LineFormatTest, HashAndPercentStartCommentLinesInEveryLineFormat) {
   const char* comments = "# a comment\n  % another\n\n";
   auto ucq = ParseUcq(std::string(comments) + "q(x) :- e(x, y)\n" + comments +

@@ -66,6 +66,27 @@ TEST(FramingTest, BackToBackFramesStayDelimited) {
   EXPECT_EQ(got, "second");
 }
 
+TEST(FramingTest, ABigFramesBufferIsReleasedBeforeTheNextFrame) {
+  SocketPair pair;
+  std::string big(1u << 20, 'x');
+  std::thread writer([&pair, &big] {
+    EXPECT_TRUE(WriteFrame(pair.a(), big).ok());
+    EXPECT_TRUE(WriteFrame(pair.a(), "0123456789").ok());
+  });
+  // One buffer for both frames, as a server connection reuses it.
+  std::string payload;
+  bool clean_eof = false;
+  Status first = ReadFrame(pair.b(), &payload, &clean_eof);
+  if (!first.ok()) ::shutdown(pair.b(), SHUT_RDWR);  // unblock the writer
+  ASSERT_TRUE(first.ok()) << first.ToString();
+  EXPECT_EQ(payload.size(), big.size());
+  Status second = ReadFrame(pair.b(), &payload, &clean_eof);
+  writer.join();
+  ASSERT_TRUE(second.ok()) << second.ToString();
+  EXPECT_EQ(payload, "0123456789");
+  EXPECT_LE(payload.capacity(), 64u << 10);
+}
+
 TEST(FramingTest, CleanPeerCloseIsNotAnError) {
   SocketPair pair;
   ::shutdown(pair.a(), SHUT_WR);

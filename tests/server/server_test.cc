@@ -19,6 +19,7 @@
 #include "obs/counters.h"
 #include "obs/json.h"
 #include "server/client.h"
+#include "server/handlers.h"
 #include "server/protocol.h"
 
 namespace rq {
@@ -421,6 +422,47 @@ TEST(QueryServerTest, DeeplyNestedFramesGetInvalidRequestAndServingGoesOn) {
   EXPECT_EQ(health->Find("id")->number_value(), 9);
   close(fd);
   server.DrainAndWait();
+}
+
+// A query that parses but names a 1 MiB identifier the check cannot use
+// gets an invalid_request that quotes a short excerpt of the name.
+TEST(QueryServerTest, SemanticErrorsQuoteAShortName) {
+  QueryServer server(ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  auto client = BlockingClient::Connect(kHost, server.port());
+  ASSERT_TRUE(client.ok());
+  const std::string name(1 << 20, 'n');
+  obs::JsonValue goal = Req("containment", 1);
+  goal.Set("class", obs::JsonValue::String("datalog"));
+  goal.Set("q1", obs::JsonValue::String("p(X) :- e(X, X).\n?- " + name +
+                                        "."));
+  goal.Set("q2", obs::JsonValue::String("p(X) :- e(X, X).\n?- p."));
+  obs::JsonValue head = Req("containment", 2);
+  head.Set("class", obs::JsonValue::String("rq"));
+  head.Set("q1", obs::JsonValue::String("q(x, " + name + ") := r(x, x)"));
+  head.Set("q2", obs::JsonValue::String("q(x, y) := r(x, y)"));
+  for (const obs::JsonValue& request : {goal, head}) {
+    auto response = client->Call(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(ErrorCode(*response), "invalid_request");
+    const std::string& message = response->Find("message")->string_value();
+    EXPECT_LT(message.size(), 200u) << message.substr(0, 300);
+  }
+  server.DrainAndWait();
+}
+
+// Stats, health and update are answered by the reader thread; a worker
+// handed one answers `internal` rather than a second copy of the answer.
+TEST(ExecuteRequestTest, ReaderAnsweredTypesAreInternalErrors) {
+  for (RequestType type :
+       {RequestType::kStats, RequestType::kHealth, RequestType::kUpdate}) {
+    Request request;
+    request.type = type;
+    request.id = obs::JsonValue::Number(int64_t{1});
+    obs::JsonValue response = ExecuteRequest(request, HandlerContext{});
+    EXPECT_EQ(ErrorCode(response), "internal") << RequestTypeName(type);
+    EXPECT_EQ(response.Find("stats"), nullptr);
+  }
 }
 
 }  // namespace
