@@ -22,9 +22,9 @@
 // nothing. A non-OK verdict latches: once a context trips, every
 // subsequent Check returns the same error (except that a memory trip
 // overrides a latched deadline or cancellation, see Check), which lets
-// construction kernels without a Status channel (FoldTwoNfa, ProductBfs)
-// simply stop early and rely on a Status-returning caller to poll the same
-// context.
+// construction kernels without a Status channel (FoldTwoNfa, the
+// product-BFS lane kernel) simply stop early and rely on a
+// Status-returning caller to poll the same context.
 //
 // Pool threads see the caller's context without any code at the fan-out
 // site: ParallelFor (common/parallel.h) captures the calling thread's

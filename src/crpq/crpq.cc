@@ -147,8 +147,8 @@ Result<Relation> EvalCrpq(const GraphSnapshot& snapshot, const Crpq& query,
     if (cache.contains(atom.regex.get())) continue;
     std::vector<std::pair<NodeId, NodeId>> pairs =
         EvalPathQuery(snapshot, *atom.regex, options);
-    // Product-BFS stops early on a trip and returns a partial answer; the
-    // poll right after it reports the trip instead of joining the partial
+    // The product BFS stops early on a trip and returns no pairs; the poll
+    // right after it reports the trip instead of joining an empty
     // relation.
     RQ_RETURN_IF_ERROR(CheckExecContext());
     Relation rel(2);

@@ -4,6 +4,7 @@
 
 #include "common/deadline.h"
 #include "common/mem.h"
+#include "common/scanner.h"
 #include "obs/flight_recorder.h"
 #include "obs/subsystems.h"
 #include "obs/trace.h"
@@ -77,7 +78,7 @@ Result<Relation> EvalDatalogGoalImpl(const DatalogProgram& program,
   for (PredId p : program.IdbPredicates()) {
     if (edb.Find(program.PredicateName(p)) != nullptr) {
       return InvalidArgumentError("IDB predicate " +
-                                  program.PredicateName(p) +
+                                  Excerpt(program.PredicateName(p)) +
                                   " also present in the EDB");
     }
     is_idb[p] = true;
@@ -94,7 +95,7 @@ Result<Relation> EvalDatalogGoalImpl(const DatalogProgram& program,
     const Relation* rel = edb.Find(program.PredicateName(p));
     if (rel != nullptr && rel->arity() != program.PredicateArity(p)) {
       return InvalidArgumentError(
-          "relation " + program.PredicateName(p) + " has arity " +
+          "relation " + Excerpt(program.PredicateName(p)) + " has arity " +
           std::to_string(rel->arity()) + ", requested " +
           std::to_string(program.PredicateArity(p)));
     }

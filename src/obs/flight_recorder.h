@@ -56,7 +56,7 @@ enum class QueryKind : uint8_t {
   kUc2RpqContainment,   // CheckUc2RpqContainment
   kRqContainment,       // CheckRqContainment
   kDatalogContainment,  // CheckDatalogContainment
-  kGraphEval,           // EvalPathQueryFromSources (multi-source BFS)
+  kGraphEval,           // path-query evaluation (product-BFS lane kernel)
   kUc2RpqEval,          // EvalUc2Rpq
   kRqEval,              // EvalRqQuery
   kDatalogEval,         // EvalDatalogGoal

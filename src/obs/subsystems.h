@@ -103,12 +103,13 @@ struct CacheCounters {
   static CacheCounters& Get();
 };
 
-// Graph evaluation: product-of-graph-and-automaton BFS over immutable CSR
-// snapshots (graph/snapshot.h, pathquery/path_query.h). Workers flush once
-// per single-source evaluation; histograms record per-eval distributions
-// (frontier = per-BFS-level product frontier size, the memory pressure
-// signal; product_states = product states visited per eval, the work
-// signal).
+// Graph evaluation: the product-of-graph-and-automaton BFS lane kernel
+// over immutable CSR snapshots (graph/snapshot.h, pathquery/path_query.h),
+// 64 sources per lane. evals counts sources and product_states counts
+// (source, node, state) visits; workers flush both once per call.
+// Histograms record per-lane distributions (frontier = product states per
+// lane level, the memory pressure signal; product_states = visits per
+// lane, the work signal).
 struct GraphEvalCounters {
   Counter& snapshots = *GetCounter("graph.snapshots");
   Counter& evals = *GetCounter("graph.evals");

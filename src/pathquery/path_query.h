@@ -7,13 +7,19 @@
 // evaluate with the same product-of-graph-and-automaton BFS, because the
 // graph's adjacency already resolves inverse symbols to backward steps.
 //
-// Every evaluator runs over an immutable GraphSnapshot (graph/snapshot.h):
-// the CSR arrays are safe to share across threads, so the multi-source
-// entry point fans its sources across the worker pool (common/parallel.h)
-// — one single-source product BFS per worker, answers stitched back in
-// source order. The GraphDb overloads are conveniences that take one
-// snapshot internally; callers issuing several queries against the same
-// graph should snapshot once and reuse it.
+// Every evaluator runs one kernel over an immutable GraphSnapshot
+// (graph/snapshot.h): a level-synchronous product BFS for 64 sources at
+// once, each product state (node, state) holding a uint64_t mask of the
+// lane's sources that reached it (docs/EVALUATION.md). Single-source,
+// source-list and all-pairs evaluation differ only in how the lanes'
+// answers are placed. The CSR arrays are safe to share across threads, so
+// lanes fan across the worker pool (common/parallel.h), each worker
+// reusing one scratch set: 16 bytes per product state plus 8 per node,
+// charged to `graph` before its first lane, so a single-source call pays
+// it too and a smaller memory budget trips before any lane runs
+// (docs/ROBUSTNESS.md). The GraphDb overloads are conveniences that
+// take one snapshot internally; callers issuing several queries against
+// the same graph should snapshot once and reuse it.
 #ifndef RQ_PATHQUERY_PATH_QUERY_H_
 #define RQ_PATHQUERY_PATH_QUERY_H_
 
@@ -38,9 +44,9 @@ struct PathQuery {
 
 // Knobs for the multi-source evaluators.
 struct PathEvalOptions {
-  // Worker threads fanning sources across the pool; 0 means
-  // DefaultParallelJobs() (the process-wide --jobs knob). Values <= 1 run
-  // serially on the calling thread.
+  // Worker threads fanning lanes of 64 sources across the pool; 0 means
+  // DefaultParallelJobs() (the process-wide --jobs knob). Values <= 1, or
+  // a single lane, run serially on the calling thread.
   unsigned jobs = 0;
 };
 
@@ -54,17 +60,20 @@ std::vector<NodeId> EvalPathQueryFrom(const GraphDb& db, const Nfa& nfa,
                                       NodeId start);
 
 // Batch evaluation: answers[i] holds the sorted nodes reachable from
-// sources[i]. Sources fan out across options.jobs workers over the shared
-// snapshot; results always come back in source order regardless of
-// scheduling.
+// sources[i]. Sources may be unsorted, repeated or out of range (those
+// answer nothing); each position is its own lane bit. Lanes fan out
+// across options.jobs workers over the shared snapshot; results always
+// come back in source order regardless of scheduling. When the installed
+// context trips, every answer is empty and the caller's next poll reports
+// it.
 std::vector<std::vector<NodeId>> EvalPathQueryFromSources(
     const GraphSnapshot& snapshot, const Nfa& nfa,
     const std::vector<NodeId>& sources, const PathEvalOptions& options = {});
 
 // The full answer set, sorted by (x, y) and duplicate-free. All-pairs
-// semantics = the multi-source evaluation from every node. The answer is
-// charged to the installed context's `graph` pot; when the context trips,
-// the result is partial or empty and the caller's next poll reports it.
+// semantics = the lane kernel from every node. The answer is charged to
+// the installed context's `graph` pot; when the context trips, the result
+// is empty and the caller's next poll reports it.
 std::vector<std::pair<NodeId, NodeId>> EvalPathQuery(
     const GraphSnapshot& snapshot, const Regex& regex,
     const PathEvalOptions& options = {});

@@ -132,7 +132,7 @@ Result<Relation> EvalCq(const Database& db, const ConjunctiveQuery& query) {
     if (rel == nullptr) return out;
     if (rel->arity() != atom.vars.size()) {
       return InvalidArgumentError("EvalCq: arity mismatch on " +
-                                  atom.predicate);
+                                  Excerpt(atom.predicate));
     }
     atoms.push_back({rel, atom.vars});
   }
@@ -201,7 +201,7 @@ Result<std::optional<std::vector<Value>>> CqContainmentWitness(
     if (rel == nullptr) return std::optional<std::vector<Value>>(std::nullopt);
     if (rel->arity() != atom.vars.size()) {
       return InvalidArgumentError("CqContainmentWitness: arity mismatch on " +
-                                  atom.predicate);
+                                  Excerpt(atom.predicate));
     }
     atoms.push_back({rel, atom.vars});
   }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "common/scanner.h"
+
 namespace rq {
 
 namespace {
@@ -213,7 +215,7 @@ Result<Relation*> Database::GetOrCreate(std::string_view name, size_t arity) {
   if (it != relations_.end()) {
     if (it->second.arity() != arity) {
       return InvalidArgumentError(
-          "relation " + std::string(name) + " has arity " +
+          "relation " + Excerpt(name) + " has arity " +
           std::to_string(it->second.arity()) + ", requested " +
           std::to_string(arity));
     }

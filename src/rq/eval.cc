@@ -5,6 +5,7 @@
 
 #include "common/deadline.h"
 #include "common/mem.h"
+#include "common/scanner.h"
 #include "obs/flight_recorder.h"
 #include "obs/subsystems.h"
 #include "obs/trace.h"
@@ -76,7 +77,7 @@ Result<RqRelation> EvalRqExpr(const Database& db, const RqExpr& e) {
       const Relation* stored = db.Find(e.predicate());
       if (stored == nullptr) return out;
       if (stored->arity() != e.atom_vars().size()) {
-        return InvalidArgumentError("RQ atom " + e.predicate() +
+        return InvalidArgumentError("RQ atom " + Excerpt(e.predicate()) +
                                     " arity mismatch with database");
       }
       // Column of each atom position, and whether the position is its
@@ -122,7 +123,7 @@ Result<RqRelation> EvalRqExpr(const Database& db, const RqExpr& e) {
         if (c->kind() == RqExpr::Kind::kAtom) {
           const Relation* stored = db.Find(c->predicate());
           if (stored != nullptr && stored->arity() != c->atom_vars().size()) {
-            return InvalidArgumentError("RQ atom " + c->predicate() +
+            return InvalidArgumentError("RQ atom " + Excerpt(c->predicate()) +
                                         " arity mismatch with database");
           }
           absent = absent || stored == nullptr;

@@ -20,6 +20,8 @@
 #include "datalog/eval.h"
 #include "obs/counters.h"
 #include "pathquery/containment.h"
+#include "pathquery/path_query.h"
+#include "query/query.h"
 #include "regex/regex.h"
 #include "relational/cq.h"
 #include "rq/containment.h"
@@ -196,6 +198,31 @@ TEST(DeadlinePropagationTest, RqEvalReturnsDeadlineError) {
   auto result = EvalRqQuery(db, *query);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+// A knows chain of 200 nodes: all-pairs `knows+` spans four 64-source
+// lanes.
+EvalTarget LongKnowsChain() {
+  std::string text;
+  for (int i = 0; i + 1 < 200; ++i) {
+    text += "n" + std::to_string(i) + " knows n" + std::to_string(i + 1) + "\n";
+  }
+  return EvalTarget(
+      std::make_shared<const GraphDb>(GraphDb::FromText(text).value()));
+}
+
+TEST(DeadlinePropagationTest, PathEvalReturnsDeadlineError) {
+  EvalTarget target = LongKnowsChain();
+  auto query = ParseQuery("path", "knows+", target.graph->alphabet());
+  ASSERT_TRUE(query.ok());
+  ExecContext ctx(ExpiredDeadline());
+  ScopedExecContext scoped(&ctx);
+  EXPECT_TRUE(
+      EvalPathQuery(*target.snapshot, *std::get<PathQuery>(*query).regex)
+          .empty());
+  auto rows = Evaluate(*query, target);
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(rows.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(DeadlinePropagationTest, Uc2RpqEvalReturnsDeadlineError) {

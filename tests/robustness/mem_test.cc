@@ -14,7 +14,9 @@
 #include <sys/resource.h>
 #endif
 
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "cache/automata_cache.h"
 #include "common/deadline.h"
@@ -25,6 +27,8 @@
 #include "obs/profile.h"
 #include "obs/prometheus.h"
 #include "pathquery/containment.h"
+#include "pathquery/path_query.h"
+#include "query/query.h"
 #include "regex/regex.h"
 #include "relational/cq.h"
 #include "relational/incremental.h"
@@ -278,6 +282,62 @@ TEST(MemBudgetPropagationTest, UcqEvalReturnsResourceExhausted) {
   auto result = EvalUcq(db, *query);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+}
+
+// A knows chain of `n` nodes: all-pairs `knows+` spans ceil(n / 64)
+// lanes, and the early lanes (the lowest sources) answer the most pairs.
+EvalTarget LongKnowsChain(int n) {
+  std::string text;
+  for (int i = 0; i + 1 < n; ++i) {
+    text += "n" + std::to_string(i) + " knows n" + std::to_string(i + 1) + "\n";
+  }
+  return EvalTarget(
+      std::make_shared<const GraphDb>(GraphDb::FromText(text).value()));
+}
+
+TEST(MemBudgetPropagationTest, PathEvalReturnsResourceExhausted) {
+  EvalTarget target = LongKnowsChain(200);
+  auto query = ParseQuery("path", "knows+", target.graph->alphabet());
+  ASSERT_TRUE(query.ok());
+  ExecContext ctx = Budgeted(1);
+  ScopedExecContext scoped(&ctx);
+  EXPECT_TRUE(
+      EvalPathQuery(*target.snapshot, *std::get<PathQuery>(*query).regex)
+          .empty());
+  auto rows = Evaluate(*query, target);
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(rows.status().code(), StatusCode::kResourceExhausted);
+}
+
+// The answer is charged lane by lane: a budget half the unbounded peak
+// lets the first lanes emit and stops the kernel partway, with no rows.
+TEST(MemBudgetPropagationTest, PathEvalTripsAfterSomeLanesEmitted) {
+  constexpr int kNodes = 640;  // ten lanes
+  EvalTarget target = LongKnowsChain(kNodes);
+  auto query = ParseQuery("path", "knows+", target.graph->alphabet());
+  ASSERT_TRUE(query.ok());
+  uint64_t unbounded_peak = 0;
+  {
+    ExecContext ctx;
+    ScopedExecContext scoped(&ctx);
+    auto rows = Evaluate(*query, target);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(rows->rows, static_cast<size_t>(kNodes * (kNodes - 1) / 2));
+    unbounded_peak = ctx.peak_subsystem_bytes(MemSubsystem::kGraph);
+  }
+  ExecContext ctx = Budgeted(unbounded_peak / 2);
+  ScopedExecContext scoped(&ctx);
+  obs::CounterDelta delta;
+  auto rows = Evaluate(*query, target);
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(rows.status().code(), StatusCode::kResourceExhausted);
+  // Lane 0 alone answers 64 * 639 - 2016 pairs; it was placed and charged
+  // before the trip, and the lanes after the trip never ran.
+  const uint64_t lane0_bytes =
+      (64 * (kNodes - 1) - 2016) * sizeof(std::pair<NodeId, NodeId>);
+  EXPECT_GT(ctx.peak_subsystem_bytes(MemSubsystem::kGraph), lane0_bytes);
+  EXPECT_GT(delta.Delta("graph.evals"), 64u);
+  EXPECT_LT(delta.Delta("graph.evals"), static_cast<uint64_t>(kNodes));
 }
 
 // One byte model: a seeded closure holds RelationRowBytes(2) per stored

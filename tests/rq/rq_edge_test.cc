@@ -2,6 +2,11 @@
 // selection/projection interactions, and SubstituteFreeVars hygiene.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "datalog/eval.h"
+#include "datalog/program.h"
+#include "relational/cq.h"
 #include "rq/eval.h"
 #include "rq/parser.h"
 
@@ -114,6 +119,42 @@ TEST(RqEdgeTest, ExpressionSizeAndPredicates) {
             (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_TRUE(q.root->UsesClosure());
   EXPECT_GE(q.root->Size(), 6u);
+}
+
+// Evaluation-time errors that name a relation quote a short excerpt of
+// it: a graph label of 100,000 bytes makes each of them under 200 bytes.
+TEST(RqEdgeTest, EvalErrorsQuoteAShortRelationName) {
+  const std::string label(100'000, 'l');
+  const Database db = GraphToDatabase(
+      GraphDb::FromText("a " + label + " b\n").value());
+  std::vector<Status> errors;
+  auto rq_atom = ParseRq("q(x) := " + label + "(x)");
+  ASSERT_TRUE(rq_atom.ok());
+  errors.push_back(EvalRqQuery(db, *rq_atom).status());
+  auto rq_join = ParseRq("q(x) := " + label + "(x) & " + label + "(x, x)");
+  ASSERT_TRUE(rq_join.ok());
+  errors.push_back(EvalRqQuery(db, *rq_join).status());
+  auto cq = ParseCq("q(x) :- " + label + "(x)");
+  ASSERT_TRUE(cq.ok());
+  errors.push_back(EvalCq(db, *cq).status());
+  auto frozen = ParseCq("q(x) :- " + label + "(x, x)");
+  ASSERT_TRUE(frozen.ok());
+  errors.push_back(CqContainmentWitness(*frozen, *cq).status());
+  auto idb = ParseDatalog(label + "(X, Y) :- " + label + "(Y, X).\n?- " +
+                          label + ".");
+  ASSERT_TRUE(idb.ok());
+  errors.push_back(EvalDatalogGoal(*idb, db).status());
+  auto edb = ParseDatalog("p(X) :- " + label + "(X).\n?- p.");
+  ASSERT_TRUE(edb.ok());
+  errors.push_back(EvalDatalogGoal(*edb, db).status());
+  Database fresh;
+  ASSERT_TRUE(fresh.GetOrCreate(label, 2).ok());
+  errors.push_back(fresh.GetOrCreate(label, 1).status());
+  for (const Status& error : errors) {
+    EXPECT_EQ(error.code(), StatusCode::kInvalidArgument);
+    EXPECT_LT(error.ToString().size(), 200u)
+        << error.ToString().substr(0, 300);
+  }
 }
 
 }  // namespace
