@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sched.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -14,6 +15,7 @@
 #include <utility>
 
 #include "common/clock.h"
+#include "common/parallel.h"
 #include "obs/export.h"
 #include "obs/flight_recorder.h"
 #include "obs/prometheus.h"
@@ -39,7 +41,49 @@ void CloseFd(int& fd) {
   }
 }
 
+// The CPUs the calling thread may run on, ascending; empty where there is
+// no affinity call.
+std::vector<int> AllowedCpus() {
+  std::vector<int> cpus;
+#ifdef __linux__
+  cpu_set_t set;
+  if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+    }
+  }
+#endif
+  return cpus;
+}
+
+// Restricts the calling thread to `cpus`; best effort, and nothing for an
+// empty list.
+void BindCurrentThread(const std::vector<int>& cpus) {
+#ifdef __linux__
+  if (cpus.empty()) return;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (int cpu : cpus) CPU_SET(cpu, &set);
+  ::sched_setaffinity(0, sizeof(set), &set);
+#else
+  (void)cpus;
+#endif
+}
+
 }  // namespace
+
+std::vector<int> WorkerCpuSlice(const std::vector<int>& allowed,
+                                unsigned worker, unsigned workers) {
+  const size_t slices = std::min<size_t>(workers, allowed.size());
+  if (slices <= 1) return {};
+  // The k-th of n CPUs falls in slice k * slices / n.
+  const size_t slice = worker % slices;
+  std::vector<int> cpus;
+  for (size_t k = 0; k < allowed.size(); ++k) {
+    if (k * slices / allowed.size() == slice) cpus.push_back(allowed[k]);
+  }
+  return cpus;
+}
 
 QueryServer::Connection::~Connection() {
   if (fd >= 0) ::close(fd);
@@ -109,8 +153,20 @@ Status QueryServer::Start() {
 
   state_.store(State::kServing);
   workers_.reserve(options_.workers);
+  // Each worker runs on its own slice of the CPUs. Left free, the two
+  // workers of a two-worker server serving sub-millisecond requests were
+  // stacked on one CPU for seconds at a time, each waiting on the run
+  // queue as long as it ran, while the other CPUs idled (4-vCPU VM). An
+  // intra-query pool (--jobs > 1) would inherit its worker's slice, so
+  // workers stay free then.
+  const std::vector<int> allowed =
+      DefaultParallelJobs() <= 1 ? AllowedCpus() : std::vector<int>{};
   for (unsigned i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back(
+        [this, cpus = WorkerCpuSlice(allowed, i, options_.workers)] {
+          BindCurrentThread(cpus);
+          WorkerLoop();
+        });
   }
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::Ok();

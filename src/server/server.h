@@ -17,8 +17,11 @@
 //     max_queue_depth and new work is refused while in-flight request
 //     memory exceeds max_inflight_bytes, so overload degrades into fast
 //     rejections instead of unbounded buffering;
-//   * `workers` worker threads popping the queue. Each request runs under
-//     one fresh ExecContext whose deadline and byte budget derive from the
+//   * `workers` worker threads popping the queue, each bound to its own
+//     slice of the process's CPUs (WorkerCpuSlice) unless intra-query
+//     pools are on (DefaultParallelJobs() > 1, rqserved --jobs). Each
+//     request runs under one fresh
+//     ExecContext whose deadline and byte budget derive from the
 //     request's timeout_ms / memory_budget_mb clipped to the server caps;
 //     request contexts chain their pots to one server-wide pot, which is
 //     what the in-flight byte threshold reads. The containment/eval
@@ -101,6 +104,13 @@ struct ServerOptions {
   // queries here as part of the drain.
   std::string flight_dump_path;
 };
+
+// The CPUs request worker `worker` of `workers` runs on: `allowed` (the
+// process's CPUs, ascending) cut into min(workers, allowed.size())
+// contiguous slices of near-equal size, worker i taking slice i mod that
+// count. Empty when there is at most one slice: nothing to bind.
+std::vector<int> WorkerCpuSlice(const std::vector<int>& allowed,
+                                unsigned worker, unsigned workers);
 
 class QueryServer {
  public:
