@@ -6,9 +6,12 @@
 //     class      : path | crpq | rq | datalog
 //     query      : query text, or @path to read from a file
 //     flags      : the common flags of cli_obs.h. --jobs N fans the
-//                  multi-source product-BFS of path and crpq queries over
-//                  N workers sharing one immutable graph snapshot; an
-//                  expired --timeout-ms exits 2.
+//                  multi-source product-BFS of every query that runs on
+//                  the kernel (path, crpq atoms, and the crpq, rq and
+//                  datalog queries the front door lowers; --profile
+//                  prints eval.route) over N workers sharing one
+//                  immutable graph snapshot; an expired --timeout-ms
+//                  exits 2.
 //
 // Examples:
 //   rqeval net.graph path 'knows+'

@@ -162,46 +162,51 @@ Nfa Nfa::Reversed() const {
   return out;
 }
 
-std::vector<uint32_t> Nfa::ReachableStates() const {
-  std::vector<bool> seen(num_states(), false);
-  std::deque<uint32_t> work;
-  for (uint32_t s : initial_) {
+Nfa Nfa::Trimmed() const {
+  const uint32_t n = num_states();
+  // Each state's predecessors over symbols and epsilons in one array, so
+  // the backward search needs no reversed automaton (the kernel trims
+  // every regex it compiles, down to the canonical graphs of containment).
+  std::vector<uint32_t> first(n + 1, 0);
+  for (uint32_t s = 0; s < n; ++s) {
+    for (const NfaTransition& t : transitions_[s]) ++first[t.to + 1];
+    for (uint32_t t : epsilons_[s]) ++first[t + 1];
+  }
+  for (uint32_t s = 0; s < n; ++s) first[s + 1] += first[s];
+  std::vector<uint32_t> pred(first[n]);
+  {
+    std::vector<uint32_t> fill(first.begin(), first.end() - 1);
+    for (uint32_t s = 0; s < n; ++s) {
+      for (const NfaTransition& t : transitions_[s]) pred[fill[t.to]++] = s;
+      for (uint32_t t : epsilons_[s]) pred[fill[t]++] = s;
+    }
+  }
+  // Reachable from an initial state, then, among those, reaching an
+  // accepting state: every state on such a path is reachable too.
+  std::vector<bool> reachable(n, false);
+  std::vector<bool> keep(n, false);
+  std::vector<uint32_t> stack;
+  auto push = [&](std::vector<bool>& seen, uint32_t s) {
     if (!seen[s]) {
       seen[s] = true;
-      work.push_back(s);
+      stack.push_back(s);
     }
+  };
+  for (uint32_t s : initial_) push(reachable, s);
+  while (!stack.empty()) {
+    const uint32_t s = stack.back();
+    stack.pop_back();
+    for (const NfaTransition& t : transitions_[s]) push(reachable, t.to);
+    for (uint32_t t : epsilons_[s]) push(reachable, t);
   }
-  std::vector<uint32_t> out;
-  while (!work.empty()) {
-    uint32_t s = work.front();
-    work.pop_front();
-    out.push_back(s);
-    for (const NfaTransition& t : transitions_[s]) {
-      if (!seen[t.to]) {
-        seen[t.to] = true;
-        work.push_back(t.to);
-      }
-    }
-    for (uint32_t t : epsilons_[s]) {
-      if (!seen[t]) {
-        seen[t] = true;
-        work.push_back(t);
-      }
-    }
+  for (uint32_t s = 0; s < n; ++s) {
+    if (accepting_[s] && reachable[s]) push(keep, s);
   }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-Nfa Nfa::Trimmed() const {
-  std::vector<uint32_t> forward = ReachableStates();
-  std::vector<uint32_t> backward = Reversed().ReachableStates();
-  std::vector<bool> keep(num_states(), false);
-  {
-    std::vector<bool> fwd(num_states(), false);
-    for (uint32_t s : forward) fwd[s] = true;
-    for (uint32_t s : backward) {
-      if (fwd[s]) keep[s] = true;
+  while (!stack.empty()) {
+    const uint32_t s = stack.back();
+    stack.pop_back();
+    for (uint32_t i = first[s]; i < first[s + 1]; ++i) {
+      if (reachable[pred[i]]) push(keep, pred[i]);
     }
   }
   std::vector<uint32_t> remap(num_states(), 0xffffffffu);

@@ -97,10 +97,6 @@ class Nfa {
   // Accepts the reversed language.
   Nfa Reversed() const;
 
-  // States reachable from the initial states (forward, over symbols and
-  // epsilons), sorted.
-  std::vector<uint32_t> ReachableStates() const;
-
   // Drops states that are unreachable or cannot reach an accepting state.
   Nfa Trimmed() const;
 

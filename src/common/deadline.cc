@@ -73,6 +73,11 @@ void ExecContext::Charge(MemSubsystem subsystem, int64_t bytes) {
   }
 }
 
+void ExecContext::ExhaustMemory() {
+  pot_->out_of_memory.store(true, std::memory_order_relaxed);
+  pot_->exceeded.store(true, std::memory_order_relaxed);
+}
+
 uint64_t ExecContext::subsystem_bytes(MemSubsystem subsystem) const {
   return NonNegative(pot_->bytes[static_cast<size_t>(subsystem)]);
 }
@@ -101,7 +106,10 @@ Status ExecContext::Check() {
   bool memory_latched =
       stopped_ && status_.code() == StatusCode::kResourceExhausted;
   if (!memory_latched && exceeded()) {
-    return Trip(ResourceExhaustedError("memory budget exceeded"));
+    return Trip(ResourceExhaustedError(
+        pot_->out_of_memory.load(std::memory_order_relaxed)
+            ? "out of memory: an allocation failed"
+            : "memory budget exceeded"));
   }
   if (stopped_) return status_;
   if (cancel_ != nullptr && cancel_->Cancelled()) {

@@ -151,6 +151,13 @@ class ExecContext {
   // context.
   void Charge(MemSubsystem subsystem, int64_t bytes);
 
+  // Latches resource exhaustion on this context's pot, as a crossed budget
+  // does, for an allocation that failed (std::bad_alloc): every context
+  // sharing the pot, mirrors included, stops at its next poll, and Check()
+  // returns ResourceExhaustedError. Thread-safe. Kernels that catch the
+  // failure call this and stop; their Status-returning caller polls.
+  void ExhaustMemory();
+
   uint64_t subsystem_bytes(MemSubsystem subsystem) const;
   uint64_t peak_subsystem_bytes(MemSubsystem subsystem) const;
   uint64_t total_bytes() const;
@@ -184,6 +191,7 @@ class ExecContext {
     std::atomic<int64_t> total{0};
     std::atomic<int64_t> peak_total{0};
     std::atomic<bool> exceeded{false};
+    std::atomic<bool> out_of_memory{false};  // set with `exceeded`
     uint64_t budget_bytes = 0;   // 0 = unlimited; set before sharing
     std::shared_ptr<Pot> parent;  // set before sharing
   };

@@ -207,6 +207,59 @@ Result<Relation> EvalUc2Rpq(const GraphDb& db, const Uc2Rpq& query,
 
 namespace {
 
+// One disjunct's chain from head[0] to head[1] as a concatenation, or
+// null when the disjunct is not a simple chain.
+RegexPtr LowerChain(const Crpq& query) {
+  if (query.head.size() != 2 || query.head[0] == query.head[1]) {
+    return nullptr;
+  }
+  std::vector<uint32_t> uses(query.num_vars, 0);
+  for (const CrpqAtom& atom : query.atoms) {
+    if (atom.from == atom.to) return nullptr;
+    ++uses[atom.from];
+    ++uses[atom.to];
+  }
+  for (VarId v = 0; v < query.num_vars; ++v) {
+    const bool end = v == query.head[0] || v == query.head[1];
+    if (uses[v] != 0 && uses[v] != (end ? 1u : 2u)) return nullptr;
+  }
+  // Every variable on the walk has one atom left to leave by; returning
+  // to a visited variable finds none.
+  std::vector<bool> used(query.atoms.size(), false);
+  std::vector<RegexPtr> pieces;
+  for (VarId at = query.head[0]; at != query.head[1];) {
+    size_t i = 0;
+    for (; i < query.atoms.size(); ++i) {
+      const CrpqAtom& atom = query.atoms[i];
+      if (!used[i] && (atom.from == at || atom.to == at)) break;
+    }
+    if (i == query.atoms.size()) return nullptr;
+    used[i] = true;
+    const CrpqAtom& atom = query.atoms[i];
+    const bool forward = atom.from == at;
+    pieces.push_back(forward ? atom.regex : atom.regex->InverseExpression());
+    at = forward ? atom.to : atom.from;
+  }
+  // Atoms off the walk form cycles of middle variables.
+  if (pieces.size() != query.atoms.size()) return nullptr;
+  return Regex::Concat(std::move(pieces));
+}
+
+}  // namespace
+
+std::optional<RegexPtr> TryLowerUc2Rpq(const Uc2Rpq& query) {
+  if (!query.Validate().ok()) return std::nullopt;
+  std::vector<RegexPtr> chains;
+  for (const Crpq& disjunct : query.disjuncts) {
+    RegexPtr chain = LowerChain(disjunct);
+    if (chain == nullptr) return std::nullopt;
+    chains.push_back(std::move(chain));
+  }
+  return Regex::Union(std::move(chains));
+}
+
+namespace {
+
 // Union-find over query variables (empty-word atoms merge endpoints).
 class VarUnionFind {
  public:

@@ -82,6 +82,17 @@ Result<Relation> EvalUc2Rpq(const GraphSnapshot& snapshot,
                             const Uc2Rpq& query,
                             const PathEvalOptions& options = {});
 
+// The 2RPQ a UC2RPQ denotes when every disjunct is one simple chain of
+// atoms head[0] -> z1 -> ... -> head[1] (paper §3.3): each middle
+// variable is existential and sits in exactly two atoms, no atom is a
+// self-loop and none is left over. A chain is the concatenation of its
+// atoms' regexes, an atom walked backwards entering as its
+// InverseExpression(); a union of chains is the union regex. Evaluated
+// from every node it answers what EvalUc2Rpq does: each atom relation
+// already comes from the kernel over the same node set, so ε atoms need
+// no special case. Nullopt for any other shape and for an invalid query.
+std::optional<RegexPtr> TryLowerUc2Rpq(const Uc2Rpq& query);
+
 struct CrpqContainmentOptions {
   // Longest atom-language word instantiated during expansion.
   size_t max_word_length = 4;

@@ -8,6 +8,7 @@
 #include "obs/export.h"
 #include "obs/flight_recorder.h"
 #include "obs/mem_stats.h"
+#include "obs/subsystems.h"
 
 namespace rq {
 namespace obs {
@@ -103,6 +104,7 @@ std::string RenderPrometheusText() {
   // Refresh the OS view so every scrape carries a current RSS sample next
   // to the self-reported mem.* accounting (obs/mem_stats.h).
   SampleRssGauge();
+  RegisterSubsystemMetrics();
   const MetricsSnapshot snapshot = Registry::Global().Snapshot();
   std::string out;
 

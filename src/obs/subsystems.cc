@@ -76,5 +76,22 @@ DatalogCounters& DatalogCounters::Get() {
   return *instance;
 }
 
+void RegisterSubsystemMetrics() {
+  RegexCounters::Get();
+  ContainmentCounters::Get();
+  FoldCounters::Get();
+  ComplementCounters::Get();
+  CqCounters::Get();
+  RqCounters::Get();
+  CacheCounters::Get();
+  GraphEvalCounters::Get();
+  IncrCounters::Get();
+  BatchCounters::Get();
+  ServerCounters::Get();
+  ObsCounters::Get();
+  DeadlineCounters::Get();
+  DatalogCounters::Get();
+}
+
 }  // namespace obs
 }  // namespace rq

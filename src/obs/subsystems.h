@@ -224,6 +224,12 @@ struct DatalogCounters {
   static DatalogCounters& Get();
 };
 
+// Registers every family above, so an exposition lists each one from the
+// first render on, at 0 until a request reaches it: a scrape's series set
+// does not depend on which routes the traffic took. Idempotent and cheap;
+// RenderPrometheusText calls it.
+void RegisterSubsystemMetrics();
+
 }  // namespace obs
 }  // namespace rq
 

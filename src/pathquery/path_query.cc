@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <bit>
+#include <new>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -194,8 +195,12 @@ unsigned LaneWorkers(size_t num_sources, const PathEvalOptions& options) {
 // memory scope and one set of tallies across its lanes. Each finished
 // lane goes to place(lane, lane_sources, scratch, counts) on the worker
 // that ran it, inside that worker's `graph` scope: place charges what it
-// allocates. One graph.eval_sources span and one kGraphEval flight entry
-// per call.
+// allocates. A std::bad_alloc from a worker's scratch, its level lists or
+// place latches resource exhaustion on the context the workers share
+// (ExecContext::ExhaustMemory), which stops every lane; a caller without
+// a context gets one for the call and the failure rethrown on its own
+// thread. One graph.eval_sources span and one kGraphEval flight entry per
+// call.
 template <typename Place>
 void EvalLanes(const GraphSnapshot& snapshot, const Nfa& input,
                std::span<const NodeId> sources, unsigned workers,
@@ -203,6 +208,11 @@ void EvalLanes(const GraphSnapshot& snapshot, const Nfa& input,
   RQ_TRACE_SPAN_VAR(span, "graph.eval_sources");
   span.AddAttr("sources", sources.size());
   obs::FlightTimer timer(obs::QueryKind::kGraphEval);
+  std::optional<ExecContext> own_context;
+  std::optional<ScopedExecContext> install;
+  if (ExecContext::Current() == nullptr) {
+    install.emplace(&own_context.emplace());
+  }
   std::optional<Nfa> stripped;
   const Nfa& nfa =
       input.HasEpsilons() ? stripped.emplace(input.WithoutEpsilons()) : input;
@@ -217,24 +227,28 @@ void EvalLanes(const GraphSnapshot& snapshot, const Nfa& input,
     MemScope mem_scope(MemSubsystem::kGraph);
     std::optional<LaneScratch> scratch;
     LaneStats stats;
-    for (size_t lane = next_lane.fetch_add(1, std::memory_order_relaxed);
-         lane < num_lanes;
-         lane = next_lane.fetch_add(1, std::memory_order_relaxed)) {
-      if (!scratch) {
-        MemCharge(static_cast<int64_t>(
-            LaneScratch::DenseBytes(num_nodes, num_states)));
+    try {
+      for (size_t lane = next_lane.fetch_add(1, std::memory_order_relaxed);
+           lane < num_lanes;
+           lane = next_lane.fetch_add(1, std::memory_order_relaxed)) {
+        if (!scratch) {
+          MemCharge(static_cast<int64_t>(
+              LaneScratch::DenseBytes(num_nodes, num_states)));
+          if (ExecStopRequested()) break;
+          scratch.emplace(num_nodes, num_states);
+        }
+        const size_t begin = lane * kLaneWidth;
+        const std::span<const NodeId> lane_sources = sources.subspan(
+            begin, std::min(kLaneWidth, sources.size() - begin));
+        if (!RunLane(snapshot, nfa, lane_sources, *scratch, stats)) break;
+        const LaneCounts counts = CountAnswers(*scratch);
+        place(lane, lane_sources, *scratch, counts);
+        for (size_t c : counts) stats.answers += c;
+        ResetLane(*scratch);
         if (ExecStopRequested()) break;
-        scratch.emplace(num_nodes, num_states);
       }
-      const size_t begin = lane * kLaneWidth;
-      const std::span<const NodeId> lane_sources =
-          sources.subspan(begin, std::min(kLaneWidth, sources.size() - begin));
-      if (!RunLane(snapshot, nfa, lane_sources, *scratch, stats)) break;
-      const LaneCounts counts = CountAnswers(*scratch);
-      place(lane, lane_sources, *scratch, counts);
-      for (size_t c : counts) stats.answers += c;
-      ResetLane(*scratch);
-      if (ExecStopRequested()) break;
+    } catch (const std::bad_alloc&) {
+      ExecContext::Current()->ExhaustMemory();
     }
     obs::GraphEvalCounters& counters = obs::GraphEvalCounters::Get();
     counters.evals.Add(stats.sources);
@@ -251,14 +265,17 @@ void EvalLanes(const GraphSnapshot& snapshot, const Nfa& input,
                    ? obs::kFlightVerdictOk
                    : obs::FlightVerdictFromError(parent_status),
                total_answers.load(std::memory_order_relaxed));
-}
-
-uint32_t SymbolUniverse(size_t num_symbols, const Regex& regex) {
-  return std::max(static_cast<uint32_t>(num_symbols),
-                  regex.MinNumSymbols());
+  if (own_context && own_context->exceeded()) throw std::bad_alloc();
 }
 
 }  // namespace
+
+Nfa KernelNfa(const Nfa& nfa) { return nfa.WithoutEpsilons().Trimmed(); }
+
+Nfa KernelNfa(const Regex& regex, size_t num_symbols) {
+  return KernelNfa(regex.ToNfa(
+      std::max(static_cast<uint32_t>(num_symbols), regex.MinNumSymbols())));
+}
 
 std::vector<NodeId> EvalPathQueryFrom(const GraphSnapshot& snapshot,
                                       const Nfa& nfa, NodeId start) {
@@ -300,14 +317,21 @@ std::vector<std::vector<NodeId>> EvalPathQueryFromSources(
 std::vector<std::pair<NodeId, NodeId>> EvalPathQueryNfa(
     const GraphSnapshot& snapshot, const Nfa& nfa,
     const PathEvalOptions& options) {
-  using Pairs = std::vector<std::pair<NodeId, NodeId>>;
   std::vector<NodeId> sources(snapshot.num_nodes());
   std::iota(sources.begin(), sources.end(), NodeId{0});
+  return EvalPathQueryNfaFrom(snapshot, nfa, sources, options);
+}
+
+std::vector<std::pair<NodeId, NodeId>> EvalPathQueryNfaFrom(
+    const GraphSnapshot& snapshot, const Nfa& nfa,
+    std::span<const NodeId> sources, const PathEvalOptions& options) {
+  using Pairs = std::vector<std::pair<NodeId, NodeId>>;
   const unsigned workers = LaneWorkers(sources.size(), options);
-  // Lane l holds sources [64l, 64l + 64) ascending and places its pairs
-  // source-major with nodes ascending, so pairs leave sorted and
-  // duplicate-free. One worker runs the lanes in order and appends them to
-  // `out`; several fill per-lane blocks joined in lane order.
+  // Lane l holds positions [64l, 64l + 64) of the ascending sources and
+  // places its pairs source-major with nodes ascending, so pairs leave
+  // sorted and duplicate-free. One worker runs the lanes in order and
+  // appends them to `out`; several fill per-lane blocks joined in lane
+  // order.
   Pairs out;
   std::vector<Pairs> blocks(workers > 1 ? NumLanes(sources.size()) : 0);
   EvalLanes(snapshot, nfa, sources, workers,
@@ -357,22 +381,21 @@ std::vector<std::pair<NodeId, NodeId>> EvalPathQueryNfa(
 std::vector<std::pair<NodeId, NodeId>> EvalPathQuery(
     const GraphSnapshot& snapshot, const Regex& regex,
     const PathEvalOptions& options) {
-  Nfa nfa = regex.ToNfa(SymbolUniverse(snapshot.num_symbols(), regex));
-  return EvalPathQueryNfa(snapshot, nfa, options);
+  return EvalPathQueryNfa(snapshot, KernelNfa(regex, snapshot.num_symbols()),
+                          options);
 }
 
 std::vector<std::pair<NodeId, NodeId>> EvalPathQuery(
     const GraphDb& db, const Regex& regex, const PathEvalOptions& options) {
-  Nfa nfa =
-      regex.ToNfa(SymbolUniverse(db.alphabet().num_symbols(), regex));
-  return EvalPathQueryNfa(*db.Snapshot(), nfa, options);
+  return EvalPathQueryNfa(*db.Snapshot(),
+                          KernelNfa(regex, db.alphabet().num_symbols()),
+                          options);
 }
 
 bool PathQueryAnswers(const GraphDb& db, const Regex& regex, NodeId x,
                       NodeId y) {
-  Nfa nfa =
-      regex.ToNfa(SymbolUniverse(db.alphabet().num_symbols(), regex));
-  std::vector<NodeId> ys = EvalPathQueryFrom(*db.Snapshot(), nfa, x);
+  std::vector<NodeId> ys = EvalPathQueryFrom(
+      *db.Snapshot(), KernelNfa(regex, db.alphabet().num_symbols()), x);
   return std::binary_search(ys.begin(), ys.end(), y);
 }
 

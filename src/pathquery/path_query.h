@@ -17,12 +17,16 @@
 // reusing one scratch set: 16 bytes per product state plus 8 per node,
 // charged to `graph` before its first lane, so a single-source call pays
 // it too and a smaller memory budget trips before any lane runs
-// (docs/ROBUSTNESS.md). The GraphDb overloads are conveniences that
+// (docs/ROBUSTNESS.md). An allocation that fails inside the kernel
+// latches resource exhaustion on the installed context and stops the
+// lanes; with no context installed the call rethrows std::bad_alloc on
+// the caller's thread. The GraphDb overloads are conveniences that
 // take one snapshot internally; callers issuing several queries against
 // the same graph should snapshot once and reuse it.
 #ifndef RQ_PATHQUERY_PATH_QUERY_H_
 #define RQ_PATHQUERY_PATH_QUERY_H_
 
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,6 +56,17 @@ struct PathEvalOptions {
 
 // Parses a path query; labels are interned into db_alphabet.
 Result<PathQuery> ParsePathQuery(std::string_view text, Alphabet* alphabet);
+
+// The automaton the kernel runs: `nfa` without its epsilons, trimmed to
+// the states that are reachable and can still reach acceptance, so the
+// per-worker floor (16 bytes per product state) pays for live states
+// only. The regex overload compiles Thompson's NFA over at least
+// `num_symbols` symbols first. EvalPathQuery, PathQueryAnswers, the
+// witness search and the front door's lowered routes (query/query.h)
+// compile through here; the NFA overloads below run the automaton they
+// are given.
+Nfa KernelNfa(const Nfa& nfa);
+Nfa KernelNfa(const Regex& regex, size_t num_symbols);
 
 // All nodes y such that (start, y) is in the answer, sorted.
 std::vector<NodeId> EvalPathQueryFrom(const GraphSnapshot& snapshot,
@@ -85,6 +100,12 @@ std::vector<std::pair<NodeId, NodeId>> EvalPathQueryNfa(
     const PathEvalOptions& options = {});
 std::vector<std::pair<NodeId, NodeId>> EvalPathQueryNfa(
     const GraphDb& db, const Nfa& nfa, const PathEvalOptions& options = {});
+// The pairs of the full answer whose first node is in `sources`, which
+// must be ascending and duplicate-free; sorted and duplicate-free, with
+// the same charging and trip semantics as EvalPathQueryNfa.
+std::vector<std::pair<NodeId, NodeId>> EvalPathQueryNfaFrom(
+    const GraphSnapshot& snapshot, const Nfa& nfa,
+    std::span<const NodeId> sources, const PathEvalOptions& options = {});
 
 // Membership test for one pair.
 bool PathQueryAnswers(const GraphDb& db, const Regex& regex, NodeId x,

@@ -1,9 +1,8 @@
 #include "pathquery/to_datalog.h"
 
-#include <algorithm>
-
 #include "automata/nfa.h"
 #include "common/strings.h"
+#include "pathquery/path_query.h"
 
 namespace rq {
 
@@ -11,10 +10,7 @@ Result<PredId> AppendPathAutomaton(DatalogProgram* program,
                                    const Regex& regex,
                                    const Alphabet& alphabet,
                                    const std::string& prefix) {
-  const uint32_t k =
-      std::max(static_cast<uint32_t>(alphabet.num_symbols()),
-               regex.MinNumSymbols());
-  Nfa nfa = regex.ToNfa(k).WithoutEpsilons().Trimmed();
+  Nfa nfa = KernelNfa(regex, alphabet.num_symbols());
 
   for (uint32_t label = 0; label < alphabet.num_labels(); ++label) {
     if (StartsWith(alphabet.LabelName(label), prefix)) {

@@ -5,15 +5,13 @@
 #include "automata/nfa.h"
 #include "common/bitset.h"
 #include "graph/snapshot.h"
+#include "pathquery/path_query.h"
 
 namespace rq {
 
 std::optional<std::vector<SemipathStep>> FindWitnessSemipath(
     const GraphDb& db, const Regex& regex, NodeId x, NodeId y) {
-  const uint32_t k =
-      std::max(static_cast<uint32_t>(db.alphabet().num_symbols()),
-               regex.MinNumSymbols());
-  Nfa nfa = regex.ToNfa(k).WithoutEpsilons().Trimmed();
+  Nfa nfa = KernelNfa(regex, db.alphabet().num_symbols());
 
   // Same product BFS as the evaluators (pathquery/path_query.cc), run over
   // an immutable CSR snapshot, but tracking per-visit parents so the

@@ -7,11 +7,14 @@
 #include "containment/batch.h"
 #include "containment/containment.h"
 #include "datalog/eval.h"
+#include "obs/profile.h"
 #include "pathquery/containment.h"
 #include "relational/cq.h"
 #include "regex/regex.h"
 #include "rq/equivalence.h"
 #include "rq/eval.h"
+#include "rq/from_datalog.h"
+#include "rq/lower.h"
 #include "rq/parser.h"
 
 namespace rq {
@@ -195,38 +198,96 @@ Result<ParsedQuery> ParseQuery(std::string_view cls, std::string_view text,
                               "' (path|crpq|rq|datalog)");
 }
 
-Result<SortedRows> Evaluate(const ParsedQuery& query,
-                            const EvalTarget& target) {
-  if (const PathQuery* path = std::get_if<PathQuery>(&query)) {
-    std::vector<std::pair<NodeId, NodeId>> pairs =
-        EvalPathQuery(*target.snapshot, *path->regex);
-    // Path evaluation reports deadline/budget truncation through the
-    // installed context, not a Status return: surface it rather than
-    // answer with a silently partial set.
-    RQ_RETURN_IF_ERROR(CheckExecContext());
-    // Product-BFS returns its pairs sorted and duplicate-free: they are
-    // the rows as they stand.
-    SortedRows rows;
-    rows.arity = 2;
-    rows.rows = pairs.size();
-    rows.values.reserve(2 * pairs.size());
-    for (const auto& [x, y] : pairs) {
-      rows.values.push_back(x);
-      rows.values.push_back(y);
-    }
-    return rows;
+namespace {
+
+// Notes the route an eval took in the query's profile, if it has one.
+void NoteRoute(const char* route) {
+  if (obs::QueryProfile* profile = obs::CurrentProfile()) {
+    profile->AddNote("eval.route", route);
   }
-  Result<Relation> answer = [&]() -> Result<Relation> {
-    if (const Uc2Rpq* crpq = std::get_if<Uc2Rpq>(&query)) {
-      return EvalUc2Rpq(*target.snapshot, *crpq);
-    }
-    if (const RqQuery* rq = std::get_if<RqQuery>(&query)) {
-      return EvalRqQuery(*target.database, *rq);
-    }
-    return EvalDatalogGoal(std::get<DatalogProgram>(query), *target.database);
-  }();
+}
+
+// The rows of a kernel answer.
+Result<SortedRows> KernelRows(
+    const std::vector<std::pair<NodeId, NodeId>>& pairs) {
+  // The kernel reports deadline/budget truncation through the installed
+  // context, not a Status return: surface it rather than answer with a
+  // silently partial set.
+  RQ_RETURN_IF_ERROR(CheckExecContext());
+  // Product-BFS returns its pairs sorted and duplicate-free: they are the
+  // rows as they stand.
+  SortedRows rows;
+  rows.arity = 2;
+  rows.rows = pairs.size();
+  rows.values.reserve(2 * pairs.size());
+  for (const auto& [x, y] : pairs) {
+    rows.values.push_back(x);
+    rows.values.push_back(y);
+  }
+  return rows;
+}
+
+Result<SortedRows> EngineRows(const Result<Relation>& answer) {
   if (!answer.ok()) return answer.status();
   return SortRows(*answer);
+}
+
+// The nodes with a step over one of `symbols`, ascending.
+std::vector<NodeId> NodesWithSteps(const GraphSnapshot& snapshot,
+                                   const std::vector<Symbol>& symbols) {
+  std::vector<NodeId> nodes;
+  for (NodeId v = 0; v < snapshot.num_nodes(); ++v) {
+    for (Symbol symbol : symbols) {
+      if (!snapshot.Successors(v, symbol).empty()) {
+        nodes.push_back(v);
+        break;
+      }
+    }
+  }
+  return nodes;
+}
+
+}  // namespace
+
+Result<SortedRows> Evaluate(const ParsedQuery& query,
+                            const EvalTarget& target) {
+  const GraphSnapshot& snapshot = *target.snapshot;
+  if (const PathQuery* path = std::get_if<PathQuery>(&query)) {
+    NoteRoute("kernel");
+    return KernelRows(EvalPathQuery(snapshot, *path->regex));
+  }
+  if (const Uc2Rpq* crpq = std::get_if<Uc2Rpq>(&query)) {
+    if (std::optional<RegexPtr> regex = TryLowerUc2Rpq(*crpq)) {
+      NoteRoute("kernel");
+      return KernelRows(EvalPathQuery(snapshot, **regex));
+    }
+    NoteRoute("join");
+    return EngineRows(EvalUc2Rpq(snapshot, *crpq));
+  }
+  // RQ and Datalog name graph labels; they intern into a copy of the
+  // graph's alphabet, as path and crpq labels do at parse time.
+  Alphabet labels = target.graph->alphabet();
+  if (const RqQuery* rq = std::get_if<RqQuery>(&query)) {
+    if (rq->Validate().ok()) {
+      if (std::optional<RegexPtr> regex = TryLowerQuery(*rq, &labels)) {
+        NoteRoute("kernel");
+        return KernelRows(EvalPathQuery(snapshot, **regex));
+      }
+    }
+    NoteRoute("rq-algebra");
+    return EngineRows(EvalRqQuery(*target.database, *rq));
+  }
+  const DatalogProgram& program = std::get<DatalogProgram>(query);
+  if (std::optional<ChainAutomaton> chain =
+          TryLowerLinearChain(program, &labels)) {
+    NoteRoute("kernel");
+    const std::vector<NodeId> sources =
+        NodesWithSteps(snapshot, chain->domain);
+    return KernelRows(
+        EvalPathQueryNfaFrom(snapshot, KernelNfa(chain->nfa), sources));
+  }
+  NoteRoute("semi-naive");
+  return EngineRows(EvalDatalogGoal(program, *target.database));
 }
 
 }  // namespace rq

@@ -2,19 +2,29 @@
 // rqcheck and rqeval reach the parsers, evaluators and containment
 // procedures only through here.
 //
-//   class    syntax (docs/SYNTAX.md)  containment                 eval
-//   rpq      regex                    Lemma 1 (languages)         path
-//   2rpq     regex with inverses r-   Theorem 5 (fold)            path
+//   class    syntax (docs/SYNTAX.md)  containment                 eval: route
+//   rpq      regex                    Lemma 1 (languages)         path: kernel
+//   2rpq     regex with inverses r-   Theorem 5 (fold)            path: kernel
 //   cq, ucq  rules over atoms         Chandra-Merlin (one rule),  -
 //                                     else Sagiv-Yannakakis
-//   uc2rpq   rules over regex atoms   2rpq-fold, else expansions  crpq
-//   rq       the RQ algebra           Theorem 7 dispatch          rq
-//   datalog  rules and a goal         GRQ route (Theorem 8),      datalog
-//                                     else bounded expansions
+//   uc2rpq   rules over regex atoms   2rpq-fold, else expansions  crpq: kernel
+//                                                                 or join
+//   rq       the RQ algebra           Theorem 7 dispatch          rq: kernel or
+//                                                                 rq-algebra
+//   datalog  rules and a goal         GRQ route (Theorem 8),      datalog:
+//                                     else bounded expansions     kernel or
+//                                                                 semi-naive
 //
 // rpq and 2rpq checks run as batch jobs (containment/batch.h): each under
 // a job context chained to the caller's, and the two directions of an
 // equivalence concurrently when workers are free.
+//
+// An eval runs on the lowest rung of the ladder it lies on
+// (docs/EVALUATION.md "Routes"): a crpq whose disjuncts are chains, a
+// binary rq in the 2RPQ fragment and a linear chain datalog program each
+// denote one 2RPQ and run as one product-BFS kernel call, as a path query
+// does; any other runs its class's engine. Each eval notes its route in
+// the query's profile as `eval.route`.
 #ifndef RQ_QUERY_QUERY_H_
 #define RQ_QUERY_QUERY_H_
 
@@ -100,9 +110,9 @@ class RelationalImage {
   std::shared_ptr<State> state_;
 };
 
-// What an eval reads: one immutable graph, its CSR snapshot (path, crpq)
-// and its relational image (rq, datalog). Copies share every component,
-// so they evaluate concurrently.
+// What an eval reads: one immutable graph, its CSR snapshot (every kernel
+// route and the crpq join) and its relational image (the rq and datalog
+// engines). Copies share every component, so they evaluate concurrently.
 struct EvalTarget {
   EvalTarget() = default;  // no graph
   // Snapshots `graph` now; the relational image waits for its first use.
@@ -121,8 +131,9 @@ using ParsedQuery = std::variant<PathQuery, Uc2Rpq, RqQuery, DatalogProgram>;
 Result<ParsedQuery> ParseQuery(std::string_view cls, std::string_view text,
                                const Alphabet& alphabet);
 
-// The answer of `query` on `target`, sorted. A deadline or budget trip
-// comes back as the Status, never as a partial answer.
+// The answer of `query` on `target`, sorted, by the route the class table
+// above gives it. A deadline or budget trip, or a failed kernel
+// allocation, comes back as the Status, never as a partial answer.
 Result<SortedRows> Evaluate(const ParsedQuery& query,
                             const EvalTarget& target);
 

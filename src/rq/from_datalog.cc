@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 
 namespace rq {
 
@@ -348,6 +349,101 @@ Result<RqQuery> DatalogToRq(const DatalogProgram& program) {
   }
   RQ_RETURN_IF_ERROR(query.Validate());
   return query;
+}
+
+
+std::optional<ChainAutomaton> TryLowerLinearChain(
+    const DatalogProgram& program, Alphabet* alphabet) {
+  if (program.goal() == kInvalidPred || !program.Validate().ok()) {
+    return std::nullopt;
+  }
+  constexpr uint32_t kNoState = 0xffffffffu;
+  const size_t num_preds = program.num_predicates();
+  std::vector<bool> is_idb(num_preds, false);
+  for (PredId p : program.IdbPredicates()) is_idb[p] = true;
+  // One state per binary IDB predicate; the one unary IDB predicate is D.
+  // EDB predicates name labels, interned first so that the automaton's
+  // symbol universe covers them.
+  std::vector<uint32_t> state(num_preds, kNoState);
+  uint32_t num_states = 0;
+  PredId domain = kInvalidPred;
+  for (PredId p = 0; p < num_preds; ++p) {
+    if (!is_idb[p]) {
+      alphabet->InternLabel(program.PredicateName(p));
+    } else if (alphabet->FindLabel(program.PredicateName(p)).ok()) {
+      return std::nullopt;
+    } else if (program.PredicateArity(p) == 2) {
+      state[p] = num_states++;
+    } else if (program.PredicateArity(p) == 1 && domain == kInvalidPred) {
+      domain = p;
+    } else {
+      return std::nullopt;
+    }
+  }
+  if (state[program.goal()] == kNoState) return std::nullopt;
+  auto is_edb_binary = [&](const DatalogAtom& atom) {
+    return !is_idb[atom.predicate] && atom.vars.size() == 2;
+  };
+  auto forward = [&](const DatalogAtom& atom) {
+    return ForwardSymbolOf(
+        alphabet->InternLabel(program.PredicateName(atom.predicate)));
+  };
+
+  ChainAutomaton out;
+  out.nfa = Nfa(static_cast<uint32_t>(alphabet->num_symbols()));
+  for (uint32_t s = 0; s < num_states; ++s) out.nfa.AddState();
+  out.nfa.SetAccepting(state[program.goal()]);
+  for (const DatalogRule& rule : program.rules()) {
+    const std::vector<VarId>& head = rule.head.vars;
+    const std::vector<DatalogAtom>& body = rule.body;
+    if (rule.head.predicate == domain) {
+      // D(X) :- e(X,Y) or D(Y) :- e(X,Y).
+      if (body.size() != 1 || !is_edb_binary(body[0]) ||
+          body[0].vars[0] == body[0].vars[1]) {
+        return std::nullopt;
+      }
+      const Symbol e = forward(body[0]);
+      out.domain.push_back(head[0] == body[0].vars[0] ? e : InverseSymbol(e));
+      continue;
+    }
+    const uint32_t to = state[rule.head.predicate];
+    if (head[0] == head[1]) {
+      // P(X,X) :- D(X).
+      if (body.size() != 1 || body[0].predicate != domain) {
+        return std::nullopt;
+      }
+      out.nfa.AddInitial(to);
+      continue;
+    }
+    if (body.size() == 1) {
+      // P(X,Y) :- Q(X,Y).
+      if (state[body[0].predicate] == kNoState || body[0].vars != head) {
+        return std::nullopt;
+      }
+      out.nfa.AddEpsilon(state[body[0].predicate], to);
+      continue;
+    }
+    // P(X,Z) :- Q(X,Y), e(Y,Z) or e(Z,Y), the atoms in either order.
+    if (body.size() != 2) return std::nullopt;
+    const DatalogAtom* q = &body[0];
+    const DatalogAtom* e = &body[1];
+    if (state[q->predicate] == kNoState) std::swap(q, e);
+    if (state[q->predicate] == kNoState || !is_edb_binary(*e)) {
+      return std::nullopt;
+    }
+    const VarId x = head[0];
+    const VarId z = head[1];
+    const VarId y = q->vars[1];
+    if (q->vars[0] != x || y == x || y == z) return std::nullopt;
+    const std::vector<VarId> step{y, z};
+    const std::vector<VarId> back{z, y};
+    if (e->vars != step && e->vars != back) return std::nullopt;
+    const Symbol symbol = forward(*e);
+    out.nfa.AddTransition(state[q->predicate],
+                          e->vars == step ? symbol : InverseSymbol(symbol),
+                          to);
+  }
+  return out;
 }
 
 }  // namespace rq

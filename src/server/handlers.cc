@@ -178,7 +178,7 @@ obs::JsonValue HandleEval(const Request& request, const HandlerContext& ctx) {
         closure != nullptr) {
       obs::IncrCounters::Get().closure_evals.Increment();
       if (obs::QueryProfile* profile = obs::CurrentProfile()) {
-        profile->AddNote("eval_path", "incremental-closure");
+        profile->AddNote("eval.route", "incremental-closure");
       }
       obs::JsonValue response = render(*closure);
       response.Set("incremental", obs::JsonValue::Bool(true));

@@ -266,6 +266,22 @@ TEST(PrometheusTest, NoQueryLabelMeansNoInfoMetric) {
   EXPECT_EQ(text.find("rq_query_info"), std::string::npos);
 }
 
+// Every subsystem family is registered before the first render, so a
+// scrape lists it at 0 before any request reached it (ctest runs each
+// case in a fresh process, where no query has run).
+TEST(PrometheusTest, SubsystemSeriesArePresentBeforeAnyQuery) {
+  std::string text = RenderPrometheusText();
+  for (const char* name :
+       {"rq_datalog_evals", "rq_datalog_tuples_derived", "rq_rq_evals",
+        "rq_graph_product_states", "rq_incr_pairs_added"}) {
+    EXPECT_NE(text.find(std::string("# TYPE ") + name + " counter\n"),
+              std::string::npos)
+        << name;
+  }
+  EXPECT_NE(text.find("# TYPE rq_datalog_rounds_dist histogram\n"),
+            std::string::npos);
+}
+
 TEST(PrometheusTest, HelpLinesCarryDottedSourceNames) {
   GetCounter("promtest.helped")->Add(1);
   std::string text = RenderPrometheusText();

@@ -6,8 +6,9 @@
 // sides of the 64-source lane boundaries. The parallel multi-source path
 // must match the serial one, source lists may be unsorted, repeated or out
 // of range, the graph.* counters must equal the reference's per-source
-// sums, and every answered pair must carry a witness semipath whose steps
-// are real graph steps spelling a word of the query language.
+// sums (over the trimmed automaton a regex compiles to), and every
+// answered pair must carry a witness semipath whose steps are real graph
+// steps spelling a word of the query language.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -223,6 +224,38 @@ TEST(GraphEvalDifferentialTest, CountersCountSourcesAndProductStateVisits) {
   EXPECT_EQ(delta.Delta("graph.product_states"),
             2 * ReferenceFrom(db, nfa, 5).states +
                 ReferenceFrom(db, nfa, 64).states);
+}
+
+// A regex runs as its trimmed automaton (KernelNfa), which has fewer
+// states than Thompson's ε-free NFA (those entered only by ε moves are
+// dead), so the lane masks are fewer: the answers are the untrimmed
+// automaton's, and graph.product_states is the reference BFS's count over
+// the trimmed one, never above the count over the untrimmed one.
+TEST(GraphEvalDifferentialTest, RegexEvalRunsTheTrimmedAutomaton) {
+  GraphDb db = RandomGraph(129, 400, {"a", "b"}, 37);
+  const GraphSnapshotPtr snapshot = db.Snapshot();
+  for (const char* text : {"(a | b-)* a", "a b- a", "(a b | b)+ a?"}) {
+    RegexPtr regex = Parse(text, &db.alphabet());
+    const Nfa untrimmed = EpsilonFreeNfa(db, *regex);
+    const Nfa trimmed = KernelNfa(*regex, db.alphabet().num_symbols());
+    EXPECT_LT(trimmed.num_states(), untrimmed.num_states()) << text;
+    uint64_t states = 0;
+    uint64_t untrimmed_states = 0;
+    for (NodeId x = 0; x < 129; ++x) {
+      states += ReferenceFrom(db, trimmed, x).states;
+      untrimmed_states += ReferenceFrom(db, untrimmed, x).states;
+    }
+    EXPECT_LE(states, untrimmed_states) << text;
+    for (unsigned jobs : {1u, 4u}) {
+      obs::CounterDelta delta;
+      EXPECT_EQ(
+          EvalPathQuery(*snapshot, *regex, PathEvalOptions{.jobs = jobs}),
+          ReferenceEval(db, untrimmed))
+          << text << ", jobs " << jobs;
+      EXPECT_EQ(delta.Delta("graph.product_states"), states)
+          << text << ", jobs " << jobs;
+    }
+  }
 }
 
 TEST(GraphEvalDifferentialTest, AnswersCarryValidWitnessSemipaths) {

@@ -11,15 +11,21 @@
 #include <gtest/gtest.h>
 
 #if !defined(_WIN32)
+#include <malloc.h>
+#include <pthread.h>
 #include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 #endif
 
+#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
 
 #include "cache/automata_cache.h"
 #include "common/deadline.h"
+#include "common/parallel.h"
 #include "crpq/crpq.h"
 #include "datalog/eval.h"
 #include "obs/counters.h"
@@ -338,6 +344,81 @@ TEST(MemBudgetPropagationTest, PathEvalTripsAfterSomeLanesEmitted) {
   EXPECT_GT(ctx.peak_subsystem_bytes(MemSubsystem::kGraph), lane0_bytes);
   EXPECT_GT(delta.Delta("graph.evals"), 64u);
   EXPECT_LT(delta.Delta("graph.evals"), static_cast<uint64_t>(kNodes));
+}
+
+// ASan and TSan reserve terabytes of shadow address space, so RLIMIT_AS
+// cannot bound what the program itself may map under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define RQ_SHADOW_SANITIZER 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define RQ_SHADOW_SANITIZER 1
+#endif
+#endif
+
+// The bytes of address space the process maps now (/proc/self/statm).
+size_t MappedBytes() {
+  std::ifstream statm("/proc/self/statm");
+  size_t pages = 0;
+  statm >> pages;
+  return pages * static_cast<size_t>(sysconf(_SC_PAGESIZE));
+}
+
+// Address space for four pool threads' stacks, plus 64 MB.
+size_t WorkerHeadroom() {
+  size_t stack = size_t{8} << 20;
+  pthread_attr_t attr;
+  if (pthread_attr_init(&attr) == 0) {
+    pthread_attr_getstacksize(&attr, &stack);
+    pthread_attr_destroy(&attr);
+  }
+  return (size_t{64} << 20) + 4 * stack;
+}
+
+// An unbudgeted eval whose lane scratch the allocator cannot give gets
+// resource_exhausted, at jobs 1 (the scratch on the caller's thread) and
+// at jobs 4 (on pool threads), and the process lives. The child runs
+// under RLIMIT_AS with room for four worker stacks, not for one worker's
+// 16 * 200k * 101-byte masks (323 MB). It keeps malloc to one arena: a
+// pool thread's own arena reserves 64 MB or more of address space, which
+// would leave the next thread no room for its stack.
+TEST(MemAllocationFailureTest, KernelScratchFailureIsResourceExhausted) {
+#ifdef RQ_SHADOW_SANITIZER
+  GTEST_SKIP() << "ASan and TSan shadow reservations defeat RLIMIT_AS";
+#endif
+  auto db = std::make_shared<GraphDb>();
+  for (int i = 0; i < 200'000; ++i) db->AddNode();
+  for (NodeId i = 0; i + 1 < 1000; ++i) db->AddEdge(i, "a", i + 1);
+  EvalTarget target(std::move(db));
+  std::string chain = "a";
+  for (int i = 1; i < 100; ++i) chain += " a";
+  auto query = ParseQuery("path", chain, target.graph->alphabet());
+  ASSERT_TRUE(query.ok());
+  ASSERT_LT(WorkerHeadroom(), size_t{16} * 200'000 * 101);
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    mallopt(M_ARENA_MAX, 1);
+    const rlim_t cap = MappedBytes() + WorkerHeadroom();
+    const rlimit limit{cap, cap};
+    if (setrlimit(RLIMIT_AS, &limit) != 0) _exit(2);
+    for (unsigned jobs : {1u, 4u}) {
+      SetDefaultParallelJobs(jobs);
+      ExecContext ctx;
+      ScopedExecContext scoped(&ctx);
+      Result<SortedRows> rows = Evaluate(*query, target);
+      if (rows.ok() ||
+          rows.status().code() != StatusCode::kResourceExhausted) {
+        _exit(10 + static_cast<int>(jobs));
+      }
+    }
+    _exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died, status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "2: setrlimit failed; 11/14: no resource_exhausted at jobs 1/4";
 }
 
 // One byte model: a seeded closure holds RelationRowBytes(2) per stored

@@ -10,10 +10,12 @@
 #include <vector>
 
 #include "automata/alphabet.h"
+#include "common/deadline.h"
 #include "graph/graph_db.h"
 #include "gtest/gtest.h"
 #include "obs/counters.h"
 #include "obs/json.h"
+#include "obs/profile.h"
 #include "pathquery/path_query.h"
 #include "regex/regex.h"
 #include "relational/relation.h"
@@ -418,7 +420,8 @@ TEST(EvalRenderTest, PathResponsesRenderProductBfsRows) {
 }
 
 // knows+ served from a merged closure image renders exactly like knows+
-// computed by product-BFS on a store where the label is not live.
+// computed by product-BFS on a store where the label is not live, and
+// notes its own `eval.route`.
 TEST(EvalRenderTest, ClosureImageRendersLikeProductBfs) {
   GraphStore live;
   live.Load(RenderGraph());
@@ -458,6 +461,19 @@ TEST(EvalRenderTest, ClosureImageRendersLikeProductBfs) {
     EXPECT_EQ(from_bfs.Find("incremental"), nullptr);
     ExpectSameAnswer(from_image, from_bfs,
                      "max_tuples " + std::to_string(max_tuples));
+  }
+  for (const auto& [ctx, route] :
+       {std::pair{&live_ctx, "incremental-closure"},
+        std::pair{&cold_ctx, "kernel"}}) {
+    obs::QueryProfile profile;
+    ExecContext exec;
+    profile.Begin("mutation_test", "path", "knows+", &exec);
+    {
+      ScopedExecContext scoped(&exec);
+      ExecuteRequest(EvalRequest("path", "knows+", 0), *ctx);
+    }
+    profile.End();
+    EXPECT_EQ(profile.notes()["eval.route"], route);
   }
 }
 
