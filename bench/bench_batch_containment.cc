@@ -1,7 +1,7 @@
 // Tentpole benchmark for the automata cache (src/cache/) and the parallel
 // batch engine (src/containment/batch.h): a repeated-subexpression workload —
 // many containment pairs assembled from a small pool of shared regex
-// fragments, the shape UC2RPQ/RQ per-disjunct checking produces. The
+// fragments, the shape a stream of related containment requests has. The
 // cache/jobs grid gives the headline comparison: cached --jobs 4 versus
 // uncached serial on identical pairs.
 #include <benchmark/benchmark.h>

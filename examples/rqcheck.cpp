@@ -4,9 +4,9 @@
 //   rqcheck [flags] <class> <query1> <query2>
 //     class  : rpq | 2rpq | cq | ucq | uc2rpq | rq | rq-equiv | datalog
 //     queryN : query text, or @path to read the text from a file
-//     flags  : the common flags of cli_obs.h. --jobs N runs batched
-//              per-disjunct containment checks on N workers (default 1 =
-//              serial); an expired --timeout-ms exits 3.
+//     flags  : the common flags of cli_obs.h. --jobs N is accepted, but
+//              every check runs as one serial procedure; an expired
+//              --timeout-ms exits 3.
 //
 // Examples:
 //   rqcheck 2rpq 'p' 'p p- p'

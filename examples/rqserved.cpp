@@ -17,8 +17,8 @@
 //     --graph <file>      preload a graph database for eval requests that
 //                         do not carry an inline graph
 //     --workers N         request worker threads (default 4)
-//     --jobs N            per-request inner parallelism: batched
-//                         per-disjunct containment checks and
+//     --jobs N            per-request inner parallelism: the two
+//                         directions of an rpq/2rpq equivalence and
 //                         multi-source graph evaluation (default 1)
 //     --max-queue-depth N shed (respond `overloaded`) once this many
 //                         requests await a worker (default 128)

@@ -5,7 +5,10 @@
 // claims the next unclaimed index, so uneven per-item costs balance
 // automatically and no static partition can stall the pool. jobs <= 1 (or
 // n <= 1) runs inline on the calling thread with no pool at all, so serial
-// callers pay nothing.
+// callers pay nothing. When a thread cannot start (std::system_error, or
+// std::bad_alloc for its state), the pool stops growing: the threads
+// already started drain the queue, and if none started the caller runs it
+// inline.
 //
 // `work` must only touch per-index state or state that is internally
 // synchronized (obs counters/histograms/gauges and the automata cache
@@ -25,6 +28,8 @@
 
 #include <atomic>
 #include <cstddef>
+#include <new>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -54,21 +59,32 @@ void ParallelForWorker(size_t n, unsigned jobs, Work&& work) {
   unsigned workers = jobs < n ? jobs : static_cast<unsigned>(n);
   const ExecContext* parent = ExecContext::Current();
   std::atomic<size_t> next{0};
+  auto drain = [&next, n, &work](unsigned w) {
+    for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      work(w, i);
+    }
+  };
   {
     std::vector<std::jthread> pool;
     pool.reserve(workers);
     for (unsigned w = 0; w < workers; ++w) {
-      pool.emplace_back([&next, n, &work, w, parent] {
-        // A caller without a context gets workers without one.
-        ExecContext mirror = ExecContext::ChildOf(parent);
-        ScopedExecContext scoped(parent != nullptr ? &mirror : nullptr);
-        for (;;) {
-          size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= n) return;
-          work(w, i);
-        }
-      });
+      try {
+        pool.emplace_back([&drain, w, parent] {
+          // A caller without a context gets workers without one.
+          ExecContext mirror = ExecContext::ChildOf(parent);
+          ScopedExecContext scoped(parent != nullptr ? &mirror : nullptr);
+          drain(w);
+        });
+      } catch (const std::system_error&) {
+        // No thread (EAGAIN): the ones started drain the queue, or the
+        // caller does when none did.
+        break;
+      } catch (const std::bad_alloc&) {
+        break;  // no memory for the thread's state: likewise
+      }
     }
+    if (pool.empty()) drain(0);
   }  // jthreads join here
 }
 

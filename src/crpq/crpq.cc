@@ -7,7 +7,6 @@
 #include "common/deadline.h"
 #include "common/mem.h"
 #include "common/scanner.h"
-#include "containment/batch.h"
 #include "obs/flight_recorder.h"
 #include "obs/profile.h"
 #include "pathquery/containment.h"
@@ -343,55 +342,26 @@ Result<CrpqContainmentResult> CheckUc2RpqContainmentImpl(
   }
   CrpqContainmentResult result;
 
-  // Exact dispatch: every disjunct on both sides a single 2RPQ atom over
-  // its head pair. Then Q2 is the single 2RPQ r21 | ... | r2m (semipath
-  // semantics of a union of single-atom disjuncts IS the union regex), and
-  // Q1 ⊑ Q2 iff each q1-disjunct regex is path-contained in it. The
-  // per-disjunct checks are independent, so they fan out across the batch
-  // engine (src/containment/batch.h); results come back in disjunct order.
-  auto single_atom_regex = [](const Crpq& d) -> RegexPtr {
-    if (d.atoms.size() != 1 || d.head.size() != 2) return nullptr;
-    if (d.head[0] == d.head[1]) return nullptr;
-    const CrpqAtom& atom = d.atoms[0];
-    if (atom.from == d.head[0] && atom.to == d.head[1]) return atom.regex;
-    if (atom.from == d.head[1] && atom.to == d.head[0]) {
-      return atom.regex->InverseExpression();
-    }
-    return nullptr;
-  };
-  auto all_single_atom = [&](const Uc2Rpq& q, std::vector<RegexPtr>* out) {
-    for (const Crpq& d : q.disjuncts) {
-      RegexPtr r = single_atom_regex(d);
-      if (r == nullptr) return false;
-      out->push_back(std::move(r));
-    }
-    return true;
-  };
-  std::vector<RegexPtr> r1s;
-  std::vector<RegexPtr> r2s;
-  if (all_single_atom(q1, &r1s) && all_single_atom(q2, &r2s)) {
-    RegexPtr r2 = r2s.size() == 1 ? r2s[0] : Regex::Union(r2s);
-    std::vector<PathContainmentJob> batch;
-    batch.reserve(r1s.size());
-    for (const RegexPtr& r1 : r1s) batch.push_back({r1.get(), r2.get()});
-    ContainmentBatchOptions batch_options;
-    batch_options.jobs = options.jobs;
-    std::vector<PathContainmentResult> verdicts =
-        CheckPathContainmentBatch(batch, alphabet, batch_options);
+  // Both sides unions of chains: each denotes one 2RPQ (TryLowerUc2Rpq),
+  // and Theorem 5's fold decides the pair exactly.
+  std::optional<RegexPtr> r1 = TryLowerUc2Rpq(q1);
+  std::optional<RegexPtr> r2 = r1 ? TryLowerUc2Rpq(q2) : std::nullopt;
+  if (r1 && r2) {
+    PathContainmentResult path =
+        CheckPathQueryContainment(**r1, **r2, alphabet);
+    RQ_RETURN_IF_ERROR(path.status);
     result.method = "2rpq-fold";
-    for (const PathContainmentResult& path : verdicts) {
-      RQ_RETURN_IF_ERROR(path.status);
-      if (path.contained) continue;
-      result.certainty = Certainty::kRefuted;
-      SemipathWitness witness =
-          BuildSemipathWitness(alphabet, path.counterexample);
-      result.witness_x = witness.start;
-      result.witness_y = witness.end;
-      result.witness_tuple = {witness.start, witness.end};
-      result.counterexample = std::move(witness.db);
+    if (path.contained) {
+      result.certainty = Certainty::kProved;
       return result;
     }
-    result.certainty = Certainty::kProved;
+    result.certainty = Certainty::kRefuted;
+    SemipathWitness witness =
+        BuildSemipathWitness(alphabet, path.counterexample);
+    result.witness_x = witness.start;
+    result.witness_y = witness.end;
+    result.witness_tuple = {witness.start, witness.end};
+    result.counterexample = std::move(witness.db);
     return result;
   }
 
@@ -458,8 +428,7 @@ Result<CrpqContainmentResult> CheckUc2RpqContainmentImpl(
       CanonicalExpansion canonical =
           BuildCanonical(disjunct, choice, alphabet);
       // Canonical graphs are tiny; evaluating them serially avoids paying
-      // a worker-pool spin-up per expansion when a global --jobs is set
-      // (parallelism belongs to the per-disjunct batch dispatch above).
+      // a worker-pool spin-up per expansion when a global --jobs is set.
       RQ_ASSIGN_OR_RETURN(
           Relation answers,
           EvalUc2Rpq(canonical.graph, q2, PathEvalOptions{.jobs = 1}));

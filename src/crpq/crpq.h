@@ -11,8 +11,9 @@
 // exactly the two-phase semantics the paper describes.
 //
 // Containment (Theorem 6: EXPSPACE-complete) is handled by:
-//   * exact 2RPQ dispatch when both sides are single-atom queries over the
-//     head variables;
+//   * the chain collapse when both sides are unions of chains: each side
+//     denotes one 2RPQ (TryLowerUc2Rpq), and Theorem 5's fold decides the
+//     pair exactly;
 //   * the expansion test otherwise: an expansion of Q1 replaces each atom
 //     by a concrete word of its language, folding into a canonical graph;
 //     Q1 ⊑ Q2 iff Q2 answers the head pair on every such graph. The word
@@ -91,15 +92,16 @@ Result<Relation> EvalUc2Rpq(const GraphSnapshot& snapshot,
 // from every node it answers what EvalUc2Rpq does: each atom relation
 // already comes from the kernel over the same node set, so ε atoms need
 // no special case. Nullopt for any other shape and for an invalid query.
+// This is the one recognizer of the 2RPQ fragment: eval (query/query.h),
+// CheckUc2RpqContainment and the RQ lowering (rq/lower.h) all collapse
+// through it.
 std::optional<RegexPtr> TryLowerUc2Rpq(const Uc2Rpq& query);
 
+// Bounds of the expansion test; the chain collapse needs none.
 struct CrpqContainmentOptions {
   // Longest atom-language word instantiated during expansion.
   size_t max_word_length = 4;
   size_t max_expansions = 50000;
-  // Worker threads for the per-disjunct batch dispatch; 0 means the
-  // process default (SetDefaultParallelJobs / rqcheck --jobs).
-  unsigned jobs = 0;
 };
 
 struct CrpqContainmentResult {

@@ -78,7 +78,6 @@ struct RqCounters {
   Counter& closure_tuples = *GetCounter("rq.closure_tuples");
   Counter& expansions = *GetCounter("rq.expansions");
   Counter& expansion_checks = *GetCounter("rq.expansion_checks");
-  Counter& dispatch_2rpq = *GetCounter("rq.dispatch_2rpq");
   Counter& dispatch_uc2rpq = *GetCounter("rq.dispatch_uc2rpq");
   Counter& dispatch_expansion = *GetCounter("rq.dispatch_expansion");
   Counter& dispatch_structural = *GetCounter("rq.dispatch_structural");

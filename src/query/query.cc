@@ -268,8 +268,8 @@ Result<SortedRows> Evaluate(const ParsedQuery& query,
   // graph's alphabet, as path and crpq labels do at parse time.
   Alphabet labels = target.graph->alphabet();
   if (const RqQuery* rq = std::get_if<RqQuery>(&query)) {
-    if (rq->Validate().ok()) {
-      if (std::optional<RegexPtr> regex = TryLowerQuery(*rq, &labels)) {
+    if (std::optional<Uc2Rpq> crpq = TryLowerToUc2Rpq(*rq, &labels)) {
+      if (std::optional<RegexPtr> regex = TryLowerUc2Rpq(*crpq)) {
         NoteRoute("kernel");
         return KernelRows(EvalPathQuery(snapshot, **regex));
       }

@@ -7,10 +7,12 @@
 //   2rpq     regex with inverses r-   Theorem 5 (fold)            path: kernel
 //   cq, ucq  rules over atoms         Chandra-Merlin (one rule),  -
 //                                     else Sagiv-Yannakakis
-//   uc2rpq   rules over regex atoms   2rpq-fold, else expansions  crpq: kernel
-//                                                                 or join
-//   rq       the RQ algebra           Theorem 7 dispatch          rq: kernel or
-//                                                                 rq-algebra
+//   uc2rpq   rules over regex atoms   2rpq-fold when both sides   crpq: kernel
+//                                     are unions of chains, else  or join
+//                                     expansions
+//   rq       the RQ algebra           Theorem 7 dispatch (first   rq: kernel or
+//                                     as uc2rpq, when both sides  rq-algebra
+//                                     lower)
 //   datalog  rules and a goal         GRQ route (Theorem 8),      datalog:
 //                                     else bounded expansions     kernel or
 //                                                                 semi-naive
@@ -21,10 +23,12 @@
 //
 // An eval runs on the lowest rung of the ladder it lies on
 // (docs/EVALUATION.md "Routes"): a crpq whose disjuncts are chains, a
-// binary rq in the 2RPQ fragment and a linear chain datalog program each
-// denote one 2RPQ and run as one product-BFS kernel call, as a path query
-// does; any other runs its class's engine. Each eval notes its route in
-// the query's profile as `eval.route`.
+// binary rq that lowers to one (rq/lower.h) and a linear chain datalog
+// program each denote one 2RPQ and run as one product-BFS kernel call, as
+// a path query does; any other runs its class's engine. The crpq and rq
+// routes, like uc2rpq and rq containment, collapse chains through the one
+// chain walker, TryLowerUc2Rpq (crpq/crpq.h). Each eval notes its route
+// in the query's profile as `eval.route`.
 #ifndef RQ_QUERY_QUERY_H_
 #define RQ_QUERY_QUERY_H_
 

@@ -1,12 +1,10 @@
 #include "rq/containment.h"
 
 #include "common/deadline.h"
-#include "graph/generators.h"
 #include "obs/flight_recorder.h"
 #include "obs/profile.h"
 #include "obs/subsystems.h"
 #include "obs/trace.h"
-#include "pathquery/containment.h"
 #include "rq/eval.h"
 #include "rq/lower.h"
 #include "rq/structural.h"
@@ -39,16 +37,6 @@ int32_t FlightVerdictFromCertainty(Certainty certainty) {
 
 namespace {
 
-// Converts a 2RPQ counterexample word into a relational counterexample
-// database (the canonical semipath) plus the witness pair.
-void AttachSemipathCounterexample(const Alphabet& alphabet,
-                                  const std::vector<Symbol>& word,
-                                  RqContainmentResult* result) {
-  SemipathWitness witness = BuildSemipathWitness(alphabet, word);
-  result->counterexample = GraphToDatabase(witness.db);
-  result->witness_tuple = {witness.start, witness.end};
-}
-
 // Dispatcher body; the public CheckRqContainment wraps it with flight
 // recording and per-query profile annotation.
 Result<RqContainmentResult> CheckRqContainmentImpl(
@@ -62,32 +50,11 @@ Result<RqContainmentResult> CheckRqContainmentImpl(
   }
   RqContainmentResult result;
 
-  // Step 1: exact 2RPQ dispatch (Theorem 5) when both sides are
-  // path-shaped binary queries.
-  if (options.try_two_rpq_dispatch && q1.arity() == 2) {
-    Alphabet alphabet;
-    std::optional<RegexPtr> r1 = TryLowerQuery(q1, &alphabet);
-    std::optional<RegexPtr> r2 = TryLowerQuery(q2, &alphabet);
-    if (r1.has_value() && r2.has_value()) {
-      obs::RqCounters::Get().dispatch_2rpq.Increment();
-      PathContainmentResult path =
-          CheckPathQueryContainment(**r1, **r2, alphabet);
-      RQ_RETURN_IF_ERROR(path.status);
-      result.method = "2rpq-fold";
-      if (path.contained) {
-        result.certainty = Certainty::kProved;
-      } else {
-        result.certainty = Certainty::kRefuted;
-        AttachSemipathCounterexample(alphabet, path.counterexample, &result);
-      }
-      return result;
-    }
-  }
-
-  // Step 1.5: UC2RPQ dispatch (Theorem 6 level) when both sides lower to
-  // unions of conjunctive 2RPQs. The UC2RPQ checker is exact on
-  // finite-language instances and on single-atom pairs; its bounded
-  // verdicts are ignored in favor of the RQ machinery below.
+  // Step 1: UC2RPQ dispatch when both sides lower to unions of
+  // conjunctive 2RPQs. The UC2RPQ checker decides a pair of unions of
+  // chains by Theorem 5's fold and finite-language instances by their
+  // expansions; its bounded verdicts are ignored in favor of the RQ
+  // machinery below.
   if (options.try_two_rpq_dispatch) {
     Alphabet alphabet;
     std::optional<Uc2Rpq> u1 = TryLowerToUc2Rpq(q1, &alphabet);

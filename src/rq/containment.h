@@ -6,8 +6,11 @@
 // dispatcher below is exact wherever an exact procedure is practical and
 // honest about certainty everywhere else:
 //
-//   1. 2RPQ dispatch — if both queries lower to 2RPQs (binary, path-shaped),
-//      run the exact PSPACE fold pipeline of Theorem 5. Verdicts are final.
+//   1. UC2RPQ dispatch — if both queries lower to UC2RPQs (rq/lower.h),
+//      run CheckUc2RpqContainment (crpq/crpq.h): when both sides are
+//      unions of chains, i.e. denote 2RPQs, that is the exact PSPACE fold
+//      pipeline of Theorem 5. Exact verdicts are final; a bounded one
+//      falls through to step 2.
 //   2. Exact expansion test — Q1 ⊑ Q2 iff every expansion of Q1, frozen
 //      into its canonical database, is answered by Q2 (Q2 is evaluable and
 //      monotone, so each individual check is exact). If Q1 is closure-free
@@ -46,13 +49,15 @@ int32_t FlightVerdictFromCertainty(Certainty certainty);
 
 struct RqContainmentOptions {
   RqExpandLimits expand;
+  // Step 1, the UC2RPQ dispatch; false sends every pair to the expansions.
   bool try_two_rpq_dispatch = true;
 };
 
 struct RqContainmentResult {
   Certainty certainty = Certainty::kUnknownUpToBound;
-  // Which procedure decided: "2rpq-fold", "expansion-exact",
-  // "expansion-bounded".
+  // Which procedure decided: "uc2rpq:" followed by the UC2RPQ method
+  // ("uc2rpq:2rpq-fold", "uc2rpq:expansion-exact", "uc2rpq:expansion"),
+  // "expansion-exact", "expansion-bounded" or "structural".
   std::string method;
   // When refuted: a database on which q1 answers `witness_tuple` but q2
   // does not.

@@ -33,50 +33,37 @@ void Flatten(const RqExprPtr& e, std::vector<RqExprPtr>* conjuncts,
 std::optional<RegexPtr> Lower(const RqExprPtr& e, VarId from, VarId to,
                               Alphabet* alphabet);
 
-// Attempts to order `conjuncts` into a chain from `from` to `to` whose
-// middle variables are exactly `middles`, lowering each link.
-std::optional<RegexPtr> LowerChain(const std::vector<RqExprPtr>& conjuncts,
-                                   const std::vector<VarId>& middles,
-                                   VarId from, VarId to, Alphabet* alphabet) {
-  // Every conjunct must have exactly two distinct free variables.
-  for (const RqExprPtr& c : conjuncts) {
-    if (c->FreeVars().size() != 2) return std::nullopt;
+// The nested And/Exists `e` as one C2RPQ with `head`: every conjunct must
+// lower to a 2RPQ between its two free variables, and becomes one atom.
+// Flattening merges the scopes of the projections, so a variable bound
+// twice, or bound and also free in `e`, is refused.
+std::optional<Crpq> LowerConjunction(const RqExprPtr& e,
+                                     std::vector<VarId> head,
+                                     Alphabet* alphabet) {
+  std::vector<RqExprPtr> conjuncts;
+  std::vector<VarId> bound;
+  Flatten(e, &conjuncts, &bound);
+  std::sort(bound.begin(), bound.end());
+  if (std::adjacent_find(bound.begin(), bound.end()) != bound.end()) {
+    return std::nullopt;
   }
-  // Each middle variable must appear in exactly two conjuncts; from/to in
-  // exactly one each (a simple path).
-  std::vector<bool> used(conjuncts.size(), false);
-  std::vector<RegexPtr> pieces;
-  VarId current = from;
-  for (size_t step = 0; step < conjuncts.size(); ++step) {
-    int found = -1;
-    for (size_t i = 0; i < conjuncts.size(); ++i) {
-      if (used[i]) continue;
-      const auto& fv = conjuncts[i]->FreeVars();
-      if (std::binary_search(fv.begin(), fv.end(), current)) {
-        if (found >= 0) return std::nullopt;  // branching, not a chain
-        found = static_cast<int>(i);
-      }
-    }
-    if (found < 0) return std::nullopt;
-    const auto& fv = conjuncts[found]->FreeVars();
-    VarId next = fv[0] == current ? fv[1] : fv[0];
-    if (next == current) return std::nullopt;
-    // The next hop must be a declared middle, or `to` on the final step.
-    bool is_middle = std::binary_search(middles.begin(), middles.end(), next);
-    if (step + 1 == conjuncts.size()) {
-      if (next != to) return std::nullopt;
-    } else if (!is_middle) {
+  for (VarId v : bound) {
+    if (std::binary_search(e->FreeVars().begin(), e->FreeVars().end(), v)) {
       return std::nullopt;
     }
-    std::optional<RegexPtr> piece =
-        Lower(conjuncts[found], current, next, alphabet);
-    if (!piece.has_value()) return std::nullopt;
-    pieces.push_back(std::move(*piece));
-    used[found] = true;
-    current = next;
   }
-  if (current != to) return std::nullopt;
-  return Regex::Concat(std::move(pieces));
+  Crpq crpq;
+  crpq.head = std::move(head);
+  for (VarId v : crpq.head) crpq.num_vars = std::max(crpq.num_vars, v + 1);
+  for (const RqExprPtr& conjunct : conjuncts) {
+    const auto& fv = conjunct->FreeVars();
+    if (fv.size() != 2) return std::nullopt;
+    std::optional<RegexPtr> regex = Lower(conjunct, fv[0], fv[1], alphabet);
+    if (!regex.has_value()) return std::nullopt;
+    crpq.atoms.push_back({std::move(*regex), fv[0], fv[1]});
+    crpq.num_vars = std::max({crpq.num_vars, fv[0] + 1, fv[1] + 1});
+  }
+  return crpq;
 }
 
 std::optional<RegexPtr> Lower(const RqExprPtr& e, VarId from, VarId to,
@@ -117,16 +104,10 @@ std::optional<RegexPtr> Lower(const RqExprPtr& e, VarId from, VarId to,
     }
     case RqExpr::Kind::kExists:
     case RqExpr::Kind::kAnd: {
-      std::vector<RqExprPtr> conjuncts;
-      std::vector<VarId> middles;
-      Flatten(e, &conjuncts, &middles);
-      std::sort(middles.begin(), middles.end());
-      middles.erase(std::unique(middles.begin(), middles.end()),
-                    middles.end());
-      if (conjuncts.size() == 1 && middles.empty()) {
-        return Lower(conjuncts[0], from, to, alphabet);
-      }
-      return LowerChain(conjuncts, middles, from, to, alphabet);
+      // A chain from `from` to `to`, collapsed by the C2RPQ chain walker.
+      std::optional<Crpq> chain = LowerConjunction(e, {from, to}, alphabet);
+      if (!chain.has_value()) return std::nullopt;
+      return TryLowerUc2Rpq(Uc2Rpq{{std::move(*chain)}});
     }
     case RqExpr::Kind::kEq:
       return std::nullopt;
@@ -136,54 +117,18 @@ std::optional<RegexPtr> Lower(const RqExprPtr& e, VarId from, VarId to,
 
 }  // namespace
 
-std::optional<RegexPtr> TryLowerToRegex(const RqExpr& e, VarId from, VarId to,
-                                        Alphabet* alphabet) {
-  if (from == to) return std::nullopt;
-  // Wrap in a shared_ptr-compatible view: we only have a const ref; build a
-  // cheap alias shared_ptr with a no-op deleter.
-  RqExprPtr alias(&e, [](const RqExpr*) {});
-  return Lower(alias, from, to, alphabet);
-}
-
-std::optional<RegexPtr> TryLowerQuery(const RqQuery& query,
-                                      Alphabet* alphabet) {
-  if (query.head.size() != 2 || query.head[0] == query.head[1]) {
-    return std::nullopt;
-  }
-  if (query.root == nullptr) return std::nullopt;
-  return Lower(query.root, query.head[0], query.head[1], alphabet);
-}
-
 std::optional<Uc2Rpq> TryLowerToUc2Rpq(const RqQuery& query,
                                        Alphabet* alphabet) {
-  if (query.root == nullptr || !query.Validate().ok()) return std::nullopt;
+  if (!query.Validate().ok()) return std::nullopt;
   std::vector<RqExprPtr> disjuncts =
       query.root->kind() == RqExpr::Kind::kOr
           ? query.root->children()
           : std::vector<RqExprPtr>{query.root};
   Uc2Rpq out;
   for (const RqExprPtr& disjunct : disjuncts) {
-    // Flatten projections and conjunctions; every conjunct must be a
-    // path-shaped piece between exactly two variables.
-    std::vector<RqExprPtr> conjuncts;
-    std::vector<VarId> bound;
-    Flatten(disjunct, &conjuncts, &bound);
-    Crpq crpq;
-    crpq.head = query.head;
-    uint32_t max_var = 0;
-    for (VarId v : crpq.head) max_var = std::max(max_var, v + 1);
-    for (const RqExprPtr& conjunct : conjuncts) {
-      const auto& fv = conjunct->FreeVars();
-      if (fv.size() != 2) return std::nullopt;
-      std::optional<RegexPtr> regex =
-          Lower(conjunct, fv[0], fv[1], alphabet);
-      if (!regex.has_value()) return std::nullopt;
-      crpq.atoms.push_back({std::move(*regex), fv[0], fv[1]});
-      max_var = std::max({max_var, fv[0] + 1, fv[1] + 1});
-    }
-    crpq.num_vars = max_var;
-    if (!crpq.Validate().ok()) return std::nullopt;
-    out.disjuncts.push_back(std::move(crpq));
+    std::optional<Crpq> crpq = LowerConjunction(disjunct, query.head, alphabet);
+    if (!crpq.has_value()) return std::nullopt;
+    out.disjuncts.push_back(std::move(*crpq));
   }
   if (!out.Validate().ok()) return std::nullopt;
   return out;

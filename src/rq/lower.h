@@ -1,16 +1,18 @@
-// Best-effort lowering of binary Regular Queries to 2RPQs.
+// Lowering Regular Queries into the UC2RPQ fragment (paper §3.3-3.4).
 //
-// The 2RPQ-expressible fragment of RQ is exactly what you can build from
-// binary atoms (in either orientation), composition chains
-// (exists-projected middles), disjunction, and transitive closure. When a
-// query lies in this fragment, containment is decidable by the exact
-// PSPACE fold pipeline (Theorem 5) instead of the bounded expansion search,
-// so the containment dispatcher tries this lowering first.
+// A binary RQ built from atoms (in either orientation), composition chains
+// through existential middles, disjunction and transitive closure denotes
+// one 2RPQ. It lowers in two steps: TryLowerToUc2Rpq below gives a union
+// of C2RPQs, and TryLowerUc2Rpq (crpq/crpq.h), the one recognizer of the
+// 2RPQ fragment, collapses each chain. Eval (query/query.h) and the
+// containment dispatcher (rq/containment.h, through
+// CheckUc2RpqContainment) both take that route, so a pair of such queries
+// is decided by the exact PSPACE fold pipeline (Theorem 5) instead of the
+// bounded expansion search.
 //
-// TryLowerToRegex is sound: when it returns a regex, the regex's semipath
-// semantics from `from` to `to` coincides with the expression's relation.
-// It is deliberately not complete (e.g. conjunctions of parallel paths are
-// not 2RPQs and are rejected).
+// The lowering is sound: a lowered query answers what the expression does
+// on every database. It is deliberately not complete (e.g. selections and
+// atoms of other arities are rejected).
 #ifndef RQ_RQ_LOWER_H_
 #define RQ_RQ_LOWER_H_
 
@@ -18,28 +20,17 @@
 
 #include "automata/alphabet.h"
 #include "crpq/crpq.h"
-#include "regex/regex.h"
 #include "rq/rq_expr.h"
 
 namespace rq {
 
-// Lowers `e` viewed as a binary query from `from` to `to`. Both must be
-// free in `e` and be its only free variables. Labels are interned into
-// `alphabet`.
-std::optional<RegexPtr> TryLowerToRegex(const RqExpr& e, VarId from, VarId to,
-                                        Alphabet* alphabet);
-
-// Lowers a whole query (head must be two distinct variables).
-std::optional<RegexPtr> TryLowerQuery(const RqQuery& query,
-                                      Alphabet* alphabet);
-
 // Lowers a query into the UC2RPQ fragment (paper §3.3): a union of
 // conjunctions of 2RPQ atoms. Succeeds when every disjunct flattens into
-// conjuncts that are each path-shaped between two variables (closures only
-// inside those paths), with non-head variables existential. Strictly more
-// queries lower this way than to a single 2RPQ — e.g. the paper's Example 1
-// patterns — which lets the containment dispatcher use the exact UC2RPQ
-// procedure on finite-language instances.
+// conjuncts that are each path-shaped between two variables (closures,
+// unions and chains inside those paths), with non-head variables
+// existential. More queries lower this way than to a single 2RPQ — e.g.
+// the paper's Example 1 patterns — which lets the containment dispatcher
+// use the UC2RPQ procedure on them. Labels are interned into `alphabet`.
 std::optional<Uc2Rpq> TryLowerToUc2Rpq(const RqQuery& query,
                                        Alphabet* alphabet);
 

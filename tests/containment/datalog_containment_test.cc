@@ -33,7 +33,7 @@ TEST(DatalogContainmentTest, GrqRouteOnTransitiveClosures) {
   auto result = CheckDatalogContainment(q1, q2);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->certainty, Certainty::kProved);
-  EXPECT_EQ(result->method, "grq:2rpq-fold");
+  EXPECT_EQ(result->method, "grq:uc2rpq:2rpq-fold");
 
   auto reverse = CheckDatalogContainment(q2, q1);
   ASSERT_TRUE(reverse.ok());

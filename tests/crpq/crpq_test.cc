@@ -170,15 +170,22 @@ TEST_F(CrpqContainmentTest, RefutationCarriesCheckableGraph) {
 }
 
 TEST_F(CrpqContainmentTest, EpsilonWordsMergeEndpoints) {
-  // q1 with an optional atom: the empty word forces x = z in one
-  // expansion. q1: (r?)(x,z), (s)(z,y) ⊑ (r? s)(x, y)?  With r? empty the
-  // canonical graph merges x and z; q2 must still answer.
+  // q1 with an optional atom: (r?)(x,z), (s)(z,y) ⊑ (r? s)(x, y). Both
+  // sides are chains, so the fold decides it.
   Uc2Rpq q1 = ParseUnion("q(x, y) :- (r?)(x, z), (s)(z, y)");
   Uc2Rpq q2 = ParseUnion("q(x, y) :- (r? s)(x, y)");
   auto result = CheckUc2RpqContainment(q1, q2, alphabet_);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->certainty, Certainty::kProved);
-  EXPECT_EQ(result->method, "expansion-exact");
+  EXPECT_EQ(result->method, "2rpq-fold");
+  // The always-true side atom (s?)(y, y) keeps q1's meaning but not its
+  // chain shape: the expansion test runs, and with r? empty its canonical
+  // graph merges x and z; q2 must still answer.
+  Uc2Rpq sided = ParseUnion("q(x, y) :- (r?)(x, z), (s)(z, y), (s?)(y, y)");
+  auto expanded = CheckUc2RpqContainment(sided, q2, alphabet_);
+  ASSERT_TRUE(expanded.ok());
+  EXPECT_EQ(expanded->certainty, Certainty::kProved);
+  EXPECT_EQ(expanded->method, "expansion-exact");
 }
 
 TEST_F(CrpqContainmentTest, InfiniteLanguagesAreBoundedButRefutable) {

@@ -252,10 +252,13 @@ TEST(RouteDifferentialTest, ShapesThatDoNotLowerKeepTheEngine) {
     ExpectRoute("crpq", text, target, "join");
   }
   // RQs off the 2RPQ fragment: a conjunction of parallel paths, a
-  // selection, a unary head.
-  for (const char* text : {"q(x, y) := a(x, y) & b(x, y)",
-                           "q(x, y) := eq[x, y](a(x, y))",
-                           "q(x) := exists[t](a(x, t) & b(t, x))"}) {
+  // selection, a unary head, and projections that reuse a name (two
+  // variables, not one middle).
+  for (const char* text :
+       {"q(x, y) := a(x, y) & b(x, y)", "q(x, y) := eq[x, y](a(x, y))",
+        "q(x) := exists[t](a(x, t) & b(t, x))",
+        "q(x, y) := exists[t](a(x, t)) & exists[t](b(t, y))",
+        "q(x, y) := tc[x, y](exists[t](a(x, t)) & exists[t](b(t, y)))"}) {
     ExpectRoute("rq", text, target, "rq-algebra");
   }
   // Programs off the linear chain shape.

@@ -271,11 +271,13 @@ TEST(DeadlinePropagationTest, RewritingReturnsDeadlineError) {
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
 
-// Satellite regression: the UC2RPQ expansion budget used to be computed and
-// then discarded; the result must surface it.
+// Regression: the UC2RPQ expansion budget used to be computed and then
+// discarded; the result must surface it. The side atom (b)(x, w) keeps
+// the query off the chain collapse, so the expansion test runs.
 TEST(CrpqTruncationTest, LowExpansionBudgetSetsTruncatedFlag) {
   Alphabet alphabet;
-  auto q1 = ParseUc2Rpq("q(x, y) :- (a*)(x, z), (a*)(z, y)", &alphabet);
+  auto q1 = ParseUc2Rpq("q(x, y) :- (a*)(x, z), (a*)(z, y), (b)(x, w)",
+                        &alphabet);
   ASSERT_TRUE(q1.ok());
   CrpqContainmentOptions options;
   options.max_expansions = 3;

@@ -21,6 +21,8 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <utility>
 
 #include "cache/automata_cache.h"
@@ -28,6 +30,7 @@
 #include "common/parallel.h"
 #include "crpq/crpq.h"
 #include "datalog/eval.h"
+#include "graph/generators.h"
 #include "obs/counters.h"
 #include "obs/mem_stats.h"
 #include "obs/profile.h"
@@ -364,16 +367,19 @@ size_t MappedBytes() {
   return pages * static_cast<size_t>(sysconf(_SC_PAGESIZE));
 }
 
-// Address space for four pool threads' stacks, plus 64 MB.
-size_t WorkerHeadroom() {
+// The address space one new thread's stack maps.
+size_t ThreadStackBytes() {
   size_t stack = size_t{8} << 20;
   pthread_attr_t attr;
   if (pthread_attr_init(&attr) == 0) {
     pthread_attr_getstacksize(&attr, &stack);
     pthread_attr_destroy(&attr);
   }
-  return (size_t{64} << 20) + 4 * stack;
+  return stack;
 }
+
+// Address space for four pool threads' stacks, plus 64 MB.
+size_t WorkerHeadroom() { return (size_t{64} << 20) + 4 * ThreadStackBytes(); }
 
 // An unbudgeted eval whose lane scratch the allocator cannot give gets
 // resource_exhausted, at jobs 1 (the scratch on the caller's thread) and
@@ -419,6 +425,79 @@ TEST(MemAllocationFailureTest, KernelScratchFailureIsResourceExhausted) {
   ASSERT_TRUE(WIFEXITED(status)) << "child died, status " << status;
   EXPECT_EQ(WEXITSTATUS(status), 0)
       << "2: setrlimit failed; 11/14: no resource_exhausted at jobs 1/4";
+}
+
+// Lowers the soft RLIMIT_AS to what the process maps now plus `headroom`.
+bool CapAddressSpace(size_t headroom) {
+  rlimit limit{};
+  if (getrlimit(RLIMIT_AS, &limit) != 0) return false;
+  limit.rlim_cur = MappedBytes() + headroom;
+  return setrlimit(RLIMIT_AS, &limit) == 0;
+}
+
+// Whether one more thread starts now.
+bool ThreadStarts() {
+  try {
+    std::jthread probe([] {});
+    return true;
+  } catch (const std::system_error&) {
+    return false;
+  }
+}
+
+// A pool thread the system cannot start costs parallelism, not the
+// process: at jobs 4 a five-lane eval still answers the jobs-1 rows when
+// no pool thread can start (the caller drains the lanes) and when one can
+// (it drains them). The child first leaves room for half a thread stack,
+// then for one and a half; each probe thread confirms the limit bites.
+// It keeps malloc to one arena, as above.
+TEST(MemAllocationFailureTest, PoolThreadsThatCannotStartLeaveTheWorkInline) {
+#ifdef RQ_SHADOW_SANITIZER
+  GTEST_SKIP() << "ASan and TSan shadow reservations defeat RLIMIT_AS";
+#endif
+  auto db = std::make_shared<GraphDb>(
+      RandomGraph(300, 600, {"a", "b"}, /*seed=*/2026));
+  EvalTarget target(std::move(db));
+  auto query = ParseQuery("path", "a b- | b+", target.graph->alphabet());
+  ASSERT_TRUE(query.ok());
+  SetDefaultParallelJobs(1);
+  Result<SortedRows> serial = Evaluate(*query, target);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_GT(serial->rows, 0u);
+  const size_t stack = ThreadStackBytes();
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    mallopt(M_ARENA_MAX, 1);
+    SetDefaultParallelJobs(4);
+    try {
+      if (!CapAddressSpace(stack / 2)) _exit(2);
+      if (ThreadStarts()) _exit(3);
+      Result<SortedRows> none_started = Evaluate(*query, target);
+      if (!none_started.ok() || none_started->values != serial->values) {
+        _exit(10);
+      }
+      if (!CapAddressSpace(stack + stack / 2)) _exit(2);
+      if (!ThreadStarts()) _exit(3);
+      Result<SortedRows> one_started = Evaluate(*query, target);
+      if (!one_started.ok() || one_started->values != serial->values) {
+        _exit(11);
+      }
+    } catch (...) {
+      _exit(12);
+    }
+    _exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died, status " << status;
+  if (WEXITSTATUS(status) == 3) {
+    GTEST_SKIP() << "the address-space limit did not decide whether a "
+                    "thread starts (cached thread stacks?)";
+  }
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "2: setrlimit failed; 10/11: wrong rows with no/one pool thread; "
+         "12: an exception escaped Evaluate";
 }
 
 // One byte model: a seeded closure holds RelationRowBytes(2) per stored

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/rng.h"
 #include "graph/generators.h"
 #include "pathquery/path_query.h"
@@ -17,23 +19,32 @@ RqQuery Parse(const std::string& text) {
   return *q;
 }
 
+// The 2RPQ a query denotes: its UC2RPQ lowering, collapsed chain by chain,
+// as the front door's eval and the containment dispatcher take it.
+std::optional<RegexPtr> LowerToTwoRpq(const RqQuery& query,
+                                      Alphabet* alphabet) {
+  std::optional<Uc2Rpq> crpq = TryLowerToUc2Rpq(query, alphabet);
+  if (!crpq.has_value()) return std::nullopt;
+  return TryLowerUc2Rpq(*crpq);
+}
+
 TEST(LowerTest, AtomLowersToSymbol) {
   Alphabet alphabet;
-  auto re = TryLowerQuery(Parse("q(x, y) := r(x, y)"), &alphabet);
+  auto re = LowerToTwoRpq(Parse("q(x, y) := r(x, y)"), &alphabet);
   ASSERT_TRUE(re.has_value());
   EXPECT_EQ((*re)->ToString(alphabet), "r");
 }
 
 TEST(LowerTest, SwappedAtomLowersToInverse) {
   Alphabet alphabet;
-  auto re = TryLowerQuery(Parse("q(x, y) := r(y, x)"), &alphabet);
+  auto re = LowerToTwoRpq(Parse("q(x, y) := r(y, x)"), &alphabet);
   ASSERT_TRUE(re.has_value());
   EXPECT_EQ((*re)->ToString(alphabet), "r-");
 }
 
 TEST(LowerTest, CompositionLowersToConcat) {
   Alphabet alphabet;
-  auto re = TryLowerQuery(
+  auto re = LowerToTwoRpq(
       Parse("q(x, z) := exists[y](r(x, y) & s(y, z))"), &alphabet);
   ASSERT_TRUE(re.has_value());
   EXPECT_EQ((*re)->ToString(alphabet), "r s");
@@ -41,7 +52,7 @@ TEST(LowerTest, CompositionLowersToConcat) {
 
 TEST(LowerTest, ChainWithBackwardHop) {
   Alphabet alphabet;
-  auto re = TryLowerQuery(
+  auto re = LowerToTwoRpq(
       Parse("q(x, z) := exists[y](r(x, y) & s(z, y))"), &alphabet);
   ASSERT_TRUE(re.has_value());
   EXPECT_EQ((*re)->ToString(alphabet), "r s-");
@@ -49,14 +60,14 @@ TEST(LowerTest, ChainWithBackwardHop) {
 
 TEST(LowerTest, ClosureLowersToPlus) {
   Alphabet alphabet;
-  auto re = TryLowerQuery(Parse("q(x, y) := tc[x,y](r(x, y))"), &alphabet);
+  auto re = LowerToTwoRpq(Parse("q(x, y) := tc[x,y](r(x, y))"), &alphabet);
   ASSERT_TRUE(re.has_value());
   EXPECT_EQ((*re)->ToString(alphabet), "r+");
 }
 
 TEST(LowerTest, UnionLowers) {
   Alphabet alphabet;
-  auto re = TryLowerQuery(
+  auto re = LowerToTwoRpq(
       Parse("q(x, y) := r(x, y) | s(y, x)"), &alphabet);
   ASSERT_TRUE(re.has_value());
   EXPECT_EQ((*re)->ToString(alphabet), "r | s-");
@@ -64,7 +75,7 @@ TEST(LowerTest, UnionLowers) {
 
 TEST(LowerTest, LongChainLowers) {
   Alphabet alphabet;
-  auto re = TryLowerQuery(
+  auto re = LowerToTwoRpq(
       Parse("q(a, d) := exists[b, c](r(a, b) & tc[b,c](s(b, c)) & r(d, c))"),
       &alphabet);
   ASSERT_TRUE(re.has_value());
@@ -76,7 +87,7 @@ TEST(LowerTest, ParallelPathsDoNotLower) {
   // Two paths between the same endpoints: genuinely conjunctive, not a
   // 2RPQ.
   EXPECT_FALSE(
-      TryLowerQuery(Parse("q(x, y) := r(x, y) & s(x, y)"), &alphabet)
+      LowerToTwoRpq(Parse("q(x, y) := r(x, y) & s(x, y)"), &alphabet)
           .has_value());
 }
 
@@ -84,7 +95,7 @@ TEST(LowerTest, BranchingDoesNotLower) {
   Alphabet alphabet;
   // The paper's Example 1 (triangle-ish pattern): z is reached from both
   // endpoints, so the pattern is not a chain.
-  EXPECT_FALSE(TryLowerQuery(
+  EXPECT_FALSE(LowerToTwoRpq(
                    Parse("q(x, y) := exists[z](r(x, y) & r(x, z) & r(y, z))"),
                    &alphabet)
                    .has_value());
@@ -92,14 +103,25 @@ TEST(LowerTest, BranchingDoesNotLower) {
 
 TEST(LowerTest, SelectionDoesNotLower) {
   Alphabet alphabet;
-  EXPECT_FALSE(TryLowerQuery(Parse("q(x, y) := eq[x,y](r(x, y))"), &alphabet)
+  EXPECT_FALSE(LowerToTwoRpq(Parse("q(x, y) := eq[x,y](r(x, y))"), &alphabet)
                    .has_value());
 }
 
 TEST(LowerTest, TernaryAtomDoesNotLower) {
   Alphabet alphabet;
   EXPECT_FALSE(
-      TryLowerQuery(Parse("q(x, y) := t(x, y, x)"), &alphabet).has_value());
+      LowerToTwoRpq(Parse("q(x, y) := t(x, y, x)"), &alphabet).has_value());
+}
+
+TEST(LowerTest, ShadowedProjectionsDoNotLower) {
+  // Two projections of one name are two variables: `r s` would join them.
+  Alphabet alphabet;
+  for (const char* text :
+       {"q(x, z) := exists[y](r(x, y)) & exists[y](s(y, z))",
+        "q(x, z) := exists[y](exists[y](r(x, y)) & s(y, z))",
+        "q(x, z) := tc[x,z](exists[y](r(x, y)) & exists[y](s(y, z)))"}) {
+    EXPECT_FALSE(LowerToTwoRpq(Parse(text), &alphabet).has_value()) << text;
+  }
 }
 
 // Soundness: whenever lowering succeeds, the regex evaluated as a 2RPQ over
@@ -119,7 +141,7 @@ TEST(LowerTest, LoweringPreservesSemantics) {
     RqQuery q = Parse(text);
     for (int round = 0; round < 5; ++round) {
       GraphDb graph = RandomGraph(8, 16, {"r", "s"}, rng.Next());
-      auto regex = TryLowerQuery(q, &graph.alphabet());
+      auto regex = LowerToTwoRpq(q, &graph.alphabet());
       ASSERT_TRUE(regex.has_value()) << text;
       Database db = GraphToDatabase(graph);
       Relation via_rq = EvalRqQuery(db, q).value();

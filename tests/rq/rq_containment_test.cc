@@ -67,7 +67,7 @@ TEST(RqContainmentTest, TwoRpqDispatchOnPathShapedQueries) {
   RqContainmentResult result = Check(
       "q(x, y) := p(x, y)",
       "q(x, y) := exists[a, b](p(x, a) & p(b, a) & p(b, y))");
-  EXPECT_EQ(result.method, "2rpq-fold");
+  EXPECT_EQ(result.method, "uc2rpq:2rpq-fold");
   EXPECT_EQ(result.certainty, Certainty::kProved);
 }
 
@@ -107,12 +107,30 @@ TEST(RqContainmentTest, ClosureRefutedByShortExpansion) {
 }
 
 TEST(RqContainmentTest, ClosureProvedViaTwoRpqDispatch) {
-  // tc(r) ⊑ r | r·r⁺ — equivalent unrollings; the 2RPQ dispatch proves it.
+  // tc(r) ⊑ r | r·r⁺ — equivalent unrollings; both sides are unions of
+  // chains, so the UC2RPQ dispatch proves it by the 2RPQ fold.
   RqContainmentResult result = Check(
       "q(x, y) := tc[x,y](r(x, y))",
       "q(x, y) := r(x, y) | exists[m](r(x, m) & tc[m,y](r(m, y)))");
-  EXPECT_EQ(result.method, "2rpq-fold");
+  EXPECT_EQ(result.method, "uc2rpq:2rpq-fold");
   EXPECT_EQ(result.certainty, Certainty::kProved);
+}
+
+TEST(RqContainmentTest, ShadowedProjectionsAreTwoVariables) {
+  // Two projections of t bind two variables, so q1 is not the chain a b:
+  // a(0,1), b(2,3) answers (0,3) for q1 only.
+  const std::string q1 = "q(x, y) := exists[t](a(x, t)) & exists[t](b(t, y))";
+  const std::string q2 = "q(x, y) := exists[t](a(x, t) & b(t, y))";
+  RqContainmentResult result = Check(q1, q2);
+  ASSERT_EQ(result.certainty, Certainty::kRefuted);
+  ASSERT_TRUE(result.counterexample.has_value());
+  EXPECT_TRUE(EvalRqQuery(*result.counterexample, Parse(q1))
+                  .value()
+                  .Contains(result.witness_tuple));
+  EXPECT_FALSE(EvalRqQuery(*result.counterexample, Parse(q2))
+                   .value()
+                   .Contains(result.witness_tuple));
+  EXPECT_EQ(Check(q2, q1).certainty, Certainty::kProved);
 }
 
 TEST(RqContainmentTest, TriangleClosureProvedByTcMonotonicity) {

@@ -64,29 +64,29 @@ TEST(HandlersGoldenTest, ContainmentInEveryClass) {
           {R"json({"type":"containment","id":10,"class":"uc2rpq","q1":"q(x,y) :- (likes+ likes+)(x,y)","q2":"q(x,y) :- (likes+)(x,y)"})json",
            R"json({"id":10,"ok":true,"verdict":"proved","method":"2rpq-fold","truncated":false})json"},
           {R"json({"type":"containment","id":11,"class":"uc2rpq","q1":"q(x,y) :- (likes)(x,z), (likes)(z,y)","q2":"q(x,y) :- (likes likes)(x,y)"})json",
-           R"json({"id":11,"ok":true,"verdict":"proved","method":"expansion-exact","truncated":false})json"},
+           R"json({"id":11,"ok":true,"verdict":"proved","method":"2rpq-fold","truncated":false})json"},
           {R"json({"type":"containment","id":12,"class":"uc2rpq","q1":"q(x,y) :- (likes+)(x,z), (likes+)(z,y)","q2":"q(x,y) :- (likes+ likes+)(x,y)"})json",
-           R"json({"id":12,"ok":true,"verdict":"unknown-up-to-bound","method":"expansion-bounded","truncated":false})json"},
+           R"json({"id":12,"ok":true,"verdict":"proved","method":"2rpq-fold","truncated":false})json"},
           {R"json({"type":"containment","id":13,"class":"uc2rpq","q1":"q(x,y) :- (a)(x,y)","q2":"q(x,y) :- (b)(x,y)"})json",
            R"json({"id":13,"ok":true,"verdict":"refuted","method":"2rpq-fold","truncated":false,"counterexample_graph":"n0 a n1\n"})json"},
           {R"json({"type":"containment","id":14,"class":"uc2rpq","q1":"q(x,y) :- (a)(x,z), (b+)(z,y)","q2":"q(x,y) :- (a b)(x,y)"})json",
-           R"json({"id":14,"ok":true,"verdict":"refuted","method":"expansion","truncated":false,"counterexample_graph":"n0 a n1\nn1 b n2\nn2 b n3\n"})json"},
+           R"json({"id":14,"ok":true,"verdict":"refuted","method":"2rpq-fold","truncated":false,"counterexample_graph":"n0 a n1\nn1 b n2\nn2 b n3\n"})json"},
           {R"json({"type":"containment","id":15,"class":"uc2rpq","q1":"q(x,y) :- ((a|b|c|d|e|f|g|h|i|j|k|l|m|n|o|p)+)(x,z), (a)(z,y)","q2":"q(x,y) :- (b)(x,y)"})json",
-           R"json({"id":15,"ok":true,"verdict":"refuted","method":"expansion","truncated":true,"counterexample_graph":"n0 a n1\nn1 a n2\n"})json"},
+           R"json({"id":15,"ok":true,"verdict":"refuted","method":"2rpq-fold","truncated":false,"counterexample_graph":"n0 a n1\nn1 a n2\n"})json"},
           {R"json({"type":"containment","id":16,"class":"rq","q1":"q(x,y) := tc[x,y](a(x,y) & b(x,y))","q2":"q(x,y) := tc[x,y](a(x,y))"})json",
            R"json({"id":16,"ok":true,"verdict":"proved","method":"structural"})json"},
           {R"json({"type":"containment","id":17,"class":"rq","q1":"q(x,y) := tc[x,y](a(x,y))","q2":"q(x,y) := a(x,y)"})json",
-           R"json({"id":17,"ok":true,"verdict":"refuted","method":"2rpq-fold","counterexample_database":"a(0,1)\na(1,2)\n"})json"},
+           R"json({"id":17,"ok":true,"verdict":"refuted","method":"uc2rpq:2rpq-fold","counterexample_database":"a(0,1)\na(1,2)\n"})json"},
           {R"json({"type":"containment","id":18,"class":"rq","q1":"q(x,y) := tc[x,y](a(x,y))","q2":"q(x,y) := tc[x,y](a(x,y) | b(x,y))"})json",
-           R"json({"id":18,"ok":true,"verdict":"proved","method":"2rpq-fold"})json"},
+           R"json({"id":18,"ok":true,"verdict":"proved","method":"uc2rpq:2rpq-fold"})json"},
           {R"json({"type":"containment","id":19,"class":"rq","q1":"q(x,y) := tc[x,y](exists[z](a(x,z) & a(z,y)))","q2":"q(x,y) := tc[x,y](a(x,y)) & exists[w](a(x,w))"})json",
            R"json({"id":19,"ok":true,"verdict":"unknown-up-to-bound","method":"expansion-bounded"})json"},
           {R"json({"type":"containment","id":24,"class":"datalog","q1":"# Which services can (transitively) end up calling which?\nimpact(X, Y) :- calls(X, Y).\nimpact(X, Z) :- impact(X, Y), calls(Y, Z).\n?- impact.\n","q2":"impact(X, Y) :- calls(X, Y).\nimpact(X, Z) :- calls(X, Y), impact(Y, Z).\n?- impact."})json",
-           R"json({"id":24,"ok":true,"verdict":"proved","method":"grq:2rpq-fold"})json"},
+           R"json({"id":24,"ok":true,"verdict":"proved","method":"grq:uc2rpq:2rpq-fold"})json"},
           {R"json({"type":"containment","id":25,"class":"datalog","q1":"p(X, Y) :- e(X, Y).\n?- p.","q2":"p(X, Y) :- e(X, Y), e(Y, Y).\n?- p."})json",
            R"json({"id":25,"ok":true,"verdict":"refuted","method":"grq:expansion-exact","counterexample_database":"e(0,1)\n"})json"},
           {R"json({"type":"containment","id":26,"class":"datalog","q1":"p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y).\n?- p.","q2":"p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), e(Z, Y).\n?- p."})json",
-           R"json({"id":26,"ok":true,"verdict":"refuted","method":"grq:2rpq-fold","counterexample_database":"e(0,1)\ne(1,2)\ne(2,3)\n"})json"},
+           R"json({"id":26,"ok":true,"verdict":"refuted","method":"grq:uc2rpq:2rpq-fold","counterexample_database":"e(0,1)\ne(1,2)\ne(2,3)\n"})json"},
           {R"json({"type":"containment","id":27,"class":"datalog","q1":"p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, W), p(W, Y).\n?- p.","q2":"p(X, Y) :- e(X, Y).\np(X, Y) :- p(X, Z), e(Z, Y).\n?- p."})json",
            R"json({"id":27,"ok":true,"verdict":"unknown-up-to-bound","method":"datalog-expansion-bounded"})json"},
           {R"json({"type":"containment","id":28,"class":"rpq","q1":"a (","q2":"a"})json",
@@ -107,11 +107,11 @@ TEST(HandlersGoldenTest, EquivalenceInEveryClass) {
   ExpectGolden(
       {
           {R"json({"type":"equivalence","id":20,"class":"rq","q1":"q(x,y) := tc[x,y](a(x,y))","q2":"q(x,y) := tc[x,y](a(x,y) | a(x,y))"})json",
-           R"json({"id":20,"ok":true,"verdict":"equivalent","forward":{"verdict":"proved","method":"2rpq-fold"},"backward":{"verdict":"proved","method":"2rpq-fold"}})json"},
+           R"json({"id":20,"ok":true,"verdict":"equivalent","forward":{"verdict":"proved","method":"uc2rpq:2rpq-fold"},"backward":{"verdict":"proved","method":"uc2rpq:2rpq-fold"}})json"},
           {R"json({"type":"equivalence","id":21,"class":"rq","q1":"q(x,y) := tc[x,y](a(x,y))","q2":"q(x,y) := a(x,y)"})json",
-           R"json({"id":21,"ok":true,"verdict":"not-equivalent","forward":{"verdict":"refuted","method":"2rpq-fold","counterexample_database":"a(0,1)\na(1,2)\n"},"backward":{"verdict":"unknown-up-to-bound","method":""}})json"},
+           R"json({"id":21,"ok":true,"verdict":"not-equivalent","forward":{"verdict":"refuted","method":"uc2rpq:2rpq-fold","counterexample_database":"a(0,1)\na(1,2)\n"},"backward":{"verdict":"unknown-up-to-bound","method":""}})json"},
           {R"json({"type":"equivalence","id":22,"class":"rq","q1":"q(x,y) := a(x,y)","q2":"q(x,y) := tc[x,y](a(x,y))"})json",
-           R"json({"id":22,"ok":true,"verdict":"not-equivalent","forward":{"verdict":"proved","method":"2rpq-fold"},"backward":{"verdict":"refuted","method":"2rpq-fold","counterexample_database":"a(0,1)\na(1,2)\n"}})json"},
+           R"json({"id":22,"ok":true,"verdict":"not-equivalent","forward":{"verdict":"proved","method":"uc2rpq:2rpq-fold"},"backward":{"verdict":"refuted","method":"uc2rpq:2rpq-fold","counterexample_database":"a(0,1)\na(1,2)\n"}})json"},
           {R"json({"type":"equivalence","id":23,"class":"rq","q1":"q(x,y) := tc[x,y](exists[z](a(x,z) & a(z,y)))","q2":"q(x,y) := tc[x,y](exists[z](a(x,z) & a(z,y))) & exists[w](a(x,w))"})json",
            R"json({"id":23,"ok":true,"verdict":"unknown-up-to-bound","forward":{"verdict":"unknown-up-to-bound","method":"expansion-bounded"},"backward":{"verdict":"unknown-up-to-bound","method":"expansion-bounded"}})json"},
           {R"json({"type":"equivalence","id":33,"class":"rpq","q1":"a a* b","q2":"a+ b"})json",
