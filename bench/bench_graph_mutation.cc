@@ -15,6 +15,11 @@
 //   write_p99_us                            p99 wall latency of one batch
 //                                           (admission + apply + republish)
 //
+// BM_ApplyBatch times one GraphStore::Apply in process, with no maintained
+// closure: the ops and the republish, on a SocialNetwork graph of ~1.3k or
+// ~80k nodes, for a batch of 8 edges among existing people and for one
+// whose 8 edges each come from a new person.
+//
 // Writers append fresh spoke nodes onto a small core cycle, so each
 // insert's incremental delta product stays small and bounded — the
 // workload measures sustained mutation throughput, not closure blowup.
@@ -28,15 +33,20 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
+#include "graph/generators.h"
 #include "graph/graph_db.h"
 #include "obs/json.h"
 #include "server/client.h"
+#include "server/graph_store.h"
 #include "server/server.h"
 
 namespace {
 
 using rq::GraphDb;
 using rq::server::BlockingClient;
+using rq::server::GraphStore;
+using rq::server::UpdateOp;
 using rq::server::QueryServer;
 using rq::server::ServerOptions;
 
@@ -244,5 +254,63 @@ BENCHMARK(BM_GraphMutationFallback)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
+
+// Args: people (the graph has ~2.1 nodes per person, as rqbench's four
+// 150-person components have 1,264 in all) and new_nodes (0: the batch's
+// edges join existing nodes; 1: each edge comes from a new person). The
+// store reloads, untimed, every kBatchPool batches, so the graph never
+// grows by more than that many batches.
+void BM_ApplyBatch(benchmark::State& state) {
+  constexpr size_t kBatchPool = 256;
+  constexpr int kEdges = 8;
+  const size_t people = static_cast<size_t>(state.range(0));
+  const bool new_nodes = state.range(1) != 0;
+  // Through text, so the nodes are named as in a graph rqserved loads.
+  auto graph = GraphDb::FromText(
+      rq::SocialNetwork(people, people * 16 / 150, people, /*seed=*/1)
+          .ToText());
+  if (!graph.ok()) {
+    state.SkipWithError("graph parse failed");
+    return;
+  }
+  rq::Rng rng(7);
+  auto person = [&] {
+    return graph->NodeName(static_cast<rq::NodeId>(rng.Below(people)));
+  };
+  std::vector<std::vector<UpdateOp>> batches(kBatchPool);
+  for (size_t b = 0; b < kBatchPool; ++b) {
+    for (int e = 0; e < kEdges; ++e) {
+      UpdateOp op;
+      op.kind = UpdateOp::Kind::kAddEdge;
+      op.src = new_nodes ? "new" + std::to_string(b) + "_" + std::to_string(e)
+                         : person();
+      op.label = "knows";
+      op.dst = person();
+      batches[b].push_back(std::move(op));
+    }
+  }
+  GraphStore store;
+  size_t next = kBatchPool;
+  for (auto _ : state) {
+    if (next == kBatchPool) {
+      state.PauseTiming();
+      store.Load(*graph);
+      next = 0;
+      state.ResumeTiming();
+    }
+    if (!store.Apply(batches[next++]).ok()) {
+      state.SkipWithError("apply failed");
+      return;
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ApplyBatch)
+    ->Args({600, 0})
+    ->Args({600, 1})
+    ->Args({38000, 0})
+    ->Args({38000, 1})
+    ->ArgNames({"people", "new_nodes"})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

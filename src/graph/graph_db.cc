@@ -7,38 +7,80 @@
 
 namespace rq {
 
-NodeId GraphDb::AddNode() {
-  node_names_.emplace_back();
-  return static_cast<NodeId>(num_nodes_++);
+GraphDb::GraphDb(const GraphDb& other)
+    : alphabet_(other.alphabet_),
+      num_nodes_(other.num_nodes_),
+      edges_(other.edges_),
+      nodes_(other.nodes_ == nullptr
+                 ? nullptr
+                 : std::make_shared<NodeTable>(*other.nodes_)) {}
+
+GraphDb::GraphDb(GraphDb&& other) noexcept { Swap(other); }
+
+GraphDb& GraphDb::operator=(GraphDb other) noexcept {
+  Swap(other);
+  return *this;
+}
+
+void GraphDb::Swap(GraphDb& other) noexcept {
+  std::swap(alphabet_, other.alphabet_);
+  std::swap(num_nodes_, other.num_nodes_);
+  std::swap(edges_, other.edges_);
+  std::swap(nodes_, other.nodes_);
+  std::swap(nodes_shared_, other.nodes_shared_);
+}
+
+GraphDb GraphDb::Freeze() {
+  GraphDb frozen;
+  frozen.alphabet_ = alphabet_;
+  frozen.num_nodes_ = num_nodes_;
+  frozen.edges_ = edges_;
+  frozen.nodes_ = nodes_;
+  // Flagged explicitly rather than read off nodes_.use_count(): that load
+  // is relaxed, so it would not order a write here after a reader's last
+  // NodeName on the frozen copy.
+  frozen.nodes_shared_ = nodes_shared_ = nodes_ != nullptr;
+  return frozen;
+}
+
+GraphDb::NodeTable& GraphDb::MutableNodes() {
+  if (nodes_ == nullptr) {
+    nodes_ = std::make_shared<NodeTable>();
+  } else if (nodes_shared_) {
+    nodes_ = std::make_shared<NodeTable>(*nodes_);
+    nodes_shared_ = false;
+  }
+  return *nodes_;
 }
 
 NodeId GraphDb::AddNamedNode(std::string_view name) {
-  auto it = node_index_.find(name);
-  if (it != node_index_.end()) return it->second;
-  NodeId id = static_cast<NodeId>(num_nodes_++);
-  node_names_.emplace_back(name);
-  node_index_.emplace(node_names_.back(), id);
+  if (nodes_ != nullptr) {
+    auto it = nodes_->index.find(name);
+    if (it != nodes_->index.end()) return it->second;
+  }
+  NodeTable& table = MutableNodes();
+  NodeId id = AddNode();
+  table.names.resize(id);
+  table.names.emplace_back(name);
+  table.index.emplace(table.names.back(), id);
   return id;
-}
-
-void GraphDb::EnsureNodes(size_t count) {
-  while (num_nodes_ < count) AddNode();
 }
 
 std::string GraphDb::NodeName(NodeId node) const {
   RQ_CHECK(node < num_nodes_);
-  if (node < node_names_.size() && !node_names_[node].empty()) {
-    return node_names_[node];
+  if (nodes_ != nullptr && node < nodes_->names.size() &&
+      !nodes_->names[node].empty()) {
+    return nodes_->names[node];
   }
   return "n" + std::to_string(node);
 }
 
 Result<NodeId> GraphDb::FindNode(std::string_view name) const {
-  auto it = node_index_.find(name);
-  if (it == node_index_.end()) {
-    return NotFoundError("unknown node: " + std::string(name));
+  if (nodes_ != nullptr) {
+    auto it = nodes_->index.find(name);
+    if (it != nodes_->index.end()) return it->second;
   }
-  return it->second;
+  return NotFoundError("unknown node: " + std::string(name));
 }
 
 void GraphDb::AddEdge(NodeId src, uint32_t label, NodeId dst) {

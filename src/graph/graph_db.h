@@ -30,9 +30,16 @@
 //     only the build itself: Snapshot() reads the edge vector, so it must
 //     not run concurrently with a write to the same GraphDb.
 //     tests/graph/snapshot_concurrency_test.cc pins this down under tsan.
+//   * Published copies share the node table. Freeze() returns a copy
+//     whose node names and name index are the source's own table; from
+//     then on neither graph writes that table: the source's next named
+//     node copies it first. So a writer may keep adding nodes while
+//     readers call NodeName/FindNode on a frozen copy. Ordinary copies
+//     share nothing, and a moved-from GraphDb is an empty graph.
 #ifndef RQ_GRAPH_GRAPH_DB_H_
 #define RQ_GRAPH_GRAPH_DB_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -63,6 +70,14 @@ struct Edge {
 class GraphDb {
  public:
   GraphDb() = default;
+  GraphDb(const GraphDb& other);
+  GraphDb(GraphDb&& other) noexcept;
+  GraphDb& operator=(GraphDb other) noexcept;
+
+  // A copy to publish: edges and alphabet are copied, the node table is
+  // shared (the aliasing contract above), so this costs O(edges + labels)
+  // whatever the number of nodes.
+  GraphDb Freeze();
 
   // The label alphabet. Queries over this database should parse their
   // regexes against this same alphabet.
@@ -70,11 +85,11 @@ class GraphDb {
   const Alphabet& alphabet() const { return alphabet_; }
 
   // Adds an anonymous node.
-  NodeId AddNode();
+  NodeId AddNode() { return static_cast<NodeId>(num_nodes_++); }
   // Adds (or finds) a named node.
   NodeId AddNamedNode(std::string_view name);
   // Ensures nodes 0..count-1 exist.
-  void EnsureNodes(size_t count);
+  void EnsureNodes(size_t count) { num_nodes_ = std::max(num_nodes_, count); }
 
   // Node name, or "n<id>" for anonymous nodes.
   std::string NodeName(NodeId node) const;
@@ -115,11 +130,23 @@ class GraphDb {
   static Result<GraphDb> FromText(std::string_view text);
 
  private:
+  struct NodeTable {
+    // Names of nodes 0..names.size()-1; an empty name, or a node past the
+    // end, is anonymous.
+    std::vector<std::string> names;
+    StringMap<NodeId> index;  // transparent: string_view lookups
+  };
+
+  // The table to add a name to: a fresh one, or a private copy of one
+  // that Freeze() shared.
+  NodeTable& MutableNodes();
+  void Swap(GraphDb& other) noexcept;
+
   Alphabet alphabet_;
   size_t num_nodes_ = 0;
   std::vector<Edge> edges_;
-  std::vector<std::string> node_names_;  // empty string = anonymous
-  StringMap<NodeId> node_index_;  // transparent: string_view lookups
+  std::shared_ptr<NodeTable> nodes_;  // null until the first named node
+  bool nodes_shared_ = false;  // nodes_ is read by a frozen copy
 };
 
 }  // namespace rq

@@ -19,6 +19,11 @@
 // snapshot is a value you take once per evaluation (or batch of
 // evaluations), not per step. Obtain one with GraphDb::Snapshot(), which
 // returns a shared_ptr handle that is cheap to copy across threads.
+// A snapshot of a graph that only grew since an earlier snapshot can
+// instead extend that one: one pass over the rows that copies untouched
+// runs of buckets wholesale and merges the new edges into the buckets they
+// touch, O(nodes * symbols + edges) copying but no sort of the old edges.
+// The live-mutation store republishes every update batch this way.
 #ifndef RQ_GRAPH_SNAPSHOT_H_
 #define RQ_GRAPH_SNAPSHOT_H_
 
@@ -39,6 +44,11 @@ class GraphSnapshot {
   // Must not run concurrently with mutation of `db` (GraphDb writes are
   // externally synchronized); may run concurrently with other readers.
   explicit GraphSnapshot(const GraphDb& db);
+  // The snapshot of `db` built from `base`, a snapshot of an earlier state
+  // of the same graph: `db` holds base's edges as the prefix of edges(),
+  // and at least base's nodes and labels. The result equals
+  // GraphSnapshot(db) bucket for bucket; it shares no storage with `base`.
+  GraphSnapshot(const GraphSnapshot& base, const GraphDb& db);
   ~GraphSnapshot();
 
   // The CSR arrays carry a durable mem.graph_bytes charge for the
@@ -77,6 +87,9 @@ class GraphSnapshot {
   std::vector<std::pair<NodeId, NodeId>> SymbolPairs(Symbol symbol) const;
 
  private:
+  // Records the durable charge and the build in graph.snapshots.
+  void Charge();
+
   size_t num_nodes_ = 0;
   size_t num_symbols_ = 0;
   size_t num_edges_ = 0;

@@ -115,9 +115,11 @@ struct GraphEvalCounters {
   Counter& product_states = *GetCounter("graph.product_states");
   // Live mutation path (server/graph_store.h): applied update ops, and the
   // wall-clock cost of republishing a graph version per update batch (and
-  // per Load): frozen graph copy, CSR snapshot and view swap only. The
-  // batch's ops, closure deltas and closure-image merges run before this
-  // clock starts, and the relational image is built later, on first use.
+  // per Load): frozen graph copy (sharing the node table), CSR snapshot
+  // (extended by the batch's edges; from scratch on a Load) and view swap
+  // only. The batch's ops, closure deltas and closure-image merges run
+  // before this clock starts, and the relational image is built later, on
+  // first use.
   Counter& mutations = *GetCounter("graph.mutations");
   Histogram& rebuild_ns = *GetHistogram("graph.rebuild_ns");
   // Per-level frontier sizes and per-eval product states visited.

@@ -170,8 +170,12 @@ const Database& RelationalImage::operator*() const {
 }
 
 EvalTarget::EvalTarget(std::shared_ptr<const GraphDb> graph)
+    : EvalTarget(graph, graph->Snapshot()) {}
+
+EvalTarget::EvalTarget(std::shared_ptr<const GraphDb> graph,
+                       std::shared_ptr<const GraphSnapshot> snapshot)
     : graph(std::move(graph)),
-      snapshot(this->graph->Snapshot()),
+      snapshot(std::move(snapshot)),
       database(this->graph) {}
 
 Result<ParsedQuery> ParseQuery(std::string_view cls, std::string_view text,

@@ -121,6 +121,9 @@ struct EvalTarget {
   EvalTarget() = default;  // no graph
   // Snapshots `graph` now; the relational image waits for its first use.
   explicit EvalTarget(std::shared_ptr<const GraphDb> graph);
+  // Takes `snapshot`, already built from `graph`, as is.
+  EvalTarget(std::shared_ptr<const GraphDb> graph,
+             std::shared_ptr<const GraphSnapshot> snapshot);
 
   std::shared_ptr<const GraphDb> graph;
   std::shared_ptr<const GraphSnapshot> snapshot;

@@ -24,7 +24,7 @@ void GraphStore::Load(const GraphDb& graph) {
   std::lock_guard<std::mutex> lock(writer_mu_);
   master_ = graph;
   ++epoch_;
-  PublishLocked();
+  PublishLocked(/*base=*/nullptr);
 }
 
 GraphView GraphStore::Acquire() const {
@@ -37,7 +37,7 @@ uint64_t GraphStore::epoch() const {
   return view_->epoch;
 }
 
-void GraphStore::PublishLocked() {
+void GraphStore::PublishLocked(const GraphSnapshot* base) {
   uint64_t start_ns = SteadyNowNs();
   auto view = std::make_shared<GraphView>();
   view->epoch = epoch_;
@@ -45,14 +45,25 @@ void GraphStore::PublishLocked() {
   // batches mutate the master freely while admitted requests keep reading
   // this version (the aliasing contract in graph/graph_db.h makes the
   // snapshot safe even against the master itself, but the relational image
-  // and NodeName rendering need a stable GraphDb too).
+  // and NodeName rendering need a stable GraphDb too). The copy shares the
+  // master's node table, and the snapshot extends `base` by the edges
+  // appended since.
+  auto graph = std::make_shared<const GraphDb>(master_.Freeze());
+  GraphSnapshotPtr snapshot =
+      base == nullptr ? graph->Snapshot()
+                      : std::make_shared<const GraphSnapshot>(*base, *graph);
   EvalTarget& target = *view;
-  target = EvalTarget(std::make_shared<const GraphDb>(master_));
+  target = EvalTarget(std::move(graph), std::move(snapshot));
   view->closures = std::make_shared<const ClosureMap>(closure_images_);
+  std::shared_ptr<const GraphView> replaced;
   {
     std::lock_guard<std::mutex> lock(view_mu_);
-    view_ = std::move(view);
+    replaced = std::exchange(view_, std::move(view));
   }
+  // Unless a request still pins it, this frees the replaced view's graph,
+  // snapshot, closure images and relational image: outside view_mu_, so
+  // Acquire() never waits on it.
+  replaced.reset();
   auto& counters = obs::GraphEvalCounters::Get();
   counters.epoch.Set(static_cast<int64_t>(epoch_));
   counters.rebuild_ns.Record(SteadyNowNs() - start_ns);
@@ -110,7 +121,10 @@ Result<GraphStore::UpdateResult> GraphStore::Apply(
   if (applied > 0 || failure.ok()) {
     ++epoch_;
     counters.mutations.Add(applied);
-    PublishLocked();
+    // view_ changes only under writer_mu_, which this thread holds. Its
+    // snapshot is the master's at the last publish (or null before the
+    // first), and the master has only grown since.
+    PublishLocked(view_->snapshot.get());
   }
   result.epoch = epoch_;
   result.nodes_added = master_.num_nodes() - nodes_before;

@@ -18,8 +18,11 @@
 //   * Writers republish once per update BATCH, not per edge. A batch
 //     costs its ops and closure deltas, one merge per live label whose
 //     closure grew (the previous sorted image plus the batch's new pairs,
-//     sorted on their own), and the republish: graph copy plus
-//     counting-sort snapshot, timed in graph.rebuild_ns. Labels whose
+//     sorted on their own), and the republish, timed in graph.rebuild_ns:
+//     a frozen copy of the graph that shares the master's node table
+//     (GraphDb::Freeze; the master copies the table before its next named
+//     node), and the previous epoch's CSR snapshot extended by the batch's
+//     edges. Only Load() builds a snapshot from scratch. Labels whose
 //     closure did not grow keep their image. The relational image is not
 //     built here: the first rq/datalog eval of an epoch builds it, once.
 //   * Every cached artifact derived from graph contents is keyed by the
@@ -150,9 +153,11 @@ class GraphStore {
   // images of demoted labels. Caller holds writer_mu_.
   void RefreshImagesLocked();
 
-  // Rebuilds and swaps in the published view at `epoch_` from the current
-  // master state. Caller holds writer_mu_.
-  void PublishLocked();
+  // Builds and swaps in the published view at `epoch_` from the current
+  // master state: its snapshot extends `base`, a snapshot of an earlier
+  // master state, or is built from scratch when `base` is null. Caller
+  // holds writer_mu_.
+  void PublishLocked(const GraphSnapshot* base);
 
   GraphStoreOptions options_;
 

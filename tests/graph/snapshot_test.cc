@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "graph/generators.h"
 #include "graph/graph_db.h"
 
@@ -121,6 +124,42 @@ TEST(GraphSnapshotTest, EmptyGraph) {
   EXPECT_EQ(snap->num_nodes(), 0u);
   EXPECT_EQ(snap->num_edges(), 0u);
   EXPECT_TRUE(snap->Successors(0, 0).empty());
+}
+
+// A chain of extensions, each by a few edges that may bring new nodes and
+// labels, parallel and duplicate edges and self-loops, equals the
+// from-scratch build of the same graph at every step.
+TEST(GraphSnapshotTest, ExtensionEqualsScratchBuild) {
+  GraphDb db = RandomGraph(12, 30, {"a", "b"}, /*seed=*/3);
+  GraphSnapshotPtr snap = db.Snapshot();
+  Rng rng(5);
+  for (int round = 0; round < 40; ++round) {
+    if (rng.Chance(0.3)) db.EnsureNodes(db.num_nodes() + rng.Below(3));
+    if (rng.Chance(0.1)) db.alphabet().InternLabel("l" + std::to_string(round));
+    const size_t edges = rng.Below(6);
+    for (size_t i = 0; i < edges; ++i) {
+      const NodeId src = static_cast<NodeId>(rng.Below(db.num_nodes()));
+      const NodeId dst =
+          rng.Chance(0.2) ? src : static_cast<NodeId>(rng.Below(db.num_nodes()));
+      const uint32_t label =
+          static_cast<uint32_t>(rng.Below(db.alphabet().num_labels()));
+      db.AddEdge(src, label, dst);
+      if (rng.Chance(0.2)) db.AddEdge(src, label, dst);
+    }
+    snap = std::make_shared<const GraphSnapshot>(*snap, db);
+    GraphSnapshotPtr scratch = db.Snapshot();
+    ASSERT_EQ(snap->num_nodes(), scratch->num_nodes());
+    ASSERT_EQ(snap->num_symbols(), scratch->num_symbols());
+    ASSERT_EQ(snap->num_edges(), scratch->num_edges());
+    EXPECT_EQ(snap->ApproxBytes(), scratch->ApproxBytes()) << "round " << round;
+    for (Symbol sym = 0; sym < scratch->num_symbols(); ++sym) {
+      for (NodeId n = 0; n < scratch->num_nodes(); ++n) {
+        ASSERT_EQ(ToVec(snap->Successors(n, sym)),
+                  ToVec(scratch->Successors(n, sym)))
+            << "round " << round << " node " << n << " symbol " << sym;
+      }
+    }
+  }
 }
 
 TEST(GraphDbTest, FindNodeHeterogeneousLookup) {

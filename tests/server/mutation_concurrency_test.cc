@@ -4,8 +4,9 @@
 // epochs, concurrent writers/readers across connections must be
 // race-free, readers racing to build an epoch's relational image must
 // all read the one image, and evals reading a built image concurrently
-// must write nothing to it. Runs in the `tsan-mutation` label so the tsan
-// preset executes it under ThreadSanitizer.
+// must write nothing to it, and readers of a pinned view's node names
+// must never see the writer's new nodes. Runs in the `tsan-mutation` label
+// so the tsan preset executes it under ThreadSanitizer.
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -440,6 +441,81 @@ TEST(MutationConcurrencyTest, ConcurrentEvalsReadTheIndexedImage) {
   }
   threads.clear();  // join
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+UpdateOp NamedNodeOp(std::string name) {
+  UpdateOp op;
+  op.kind = UpdateOp::Kind::kAddNode;
+  op.name = std::move(name);
+  return op;
+}
+
+UpdateOp EdgeOp(std::string src, std::string dst) {
+  UpdateOp op;
+  op.kind = UpdateOp::Kind::kAddEdge;
+  op.src = std::move(src);
+  op.label = "knows";
+  op.dst = std::move(dst);
+  return op;
+}
+
+// Readers render node names and look them up on pinned views while the
+// writer's batches add named and anonymous nodes. Every published view
+// shares the master's node table, and the master copies that table before
+// it adds a name, so no reader's table is ever written (tsan would flag a
+// write racing a NodeName), and a view pinned at load keeps its answers.
+TEST(MutationConcurrencyTest, PinnedViewsReadNodeNamesWhileWriterAddsNodes) {
+  GraphStore store;
+  store.Load(std::move(GraphDb::FromText("a knows b\n")).value());
+  const GraphView loaded = store.Acquire();
+  constexpr int kBatches = 200;
+  constexpr int kReaders = 3;
+  std::atomic<bool> done{false};
+  std::atomic<int> started{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::jthread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      started.fetch_add(1);
+      // The pass that starts after the writer is done sees every batch.
+      for (bool last = false; !last;) {
+        last = done.load();
+        GraphView view = store.Acquire();
+        const GraphDb& graph = *view.graph;
+        for (NodeId node = 0; node < graph.num_nodes(); ++node) {
+          // Anonymous nodes render as n<id> and are in no index.
+          const std::string name = graph.NodeName(node);
+          Result<NodeId> found = graph.FindNode(name);
+          if (found.ok() ? *found != node
+                         : name != "n" + std::to_string(node)) {
+            mismatches.fetch_add(1);
+          }
+        }
+        if (loaded.graph->NodeName(1) != "b" ||
+            loaded.graph->FindNode("x0").ok()) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  while (started.load() < kReaders) std::this_thread::yield();
+  int failed_batches = 0;
+  for (int batch = 0; batch < kBatches; ++batch) {
+    const std::string id = std::to_string(batch);
+    if (!store.Apply({NamedNodeOp("x" + id), NamedNodeOp(""),
+                      EdgeOp("a", "y" + id)})
+             .ok()) {
+      ++failed_batches;
+    }
+  }
+  done.store(true);
+  readers.clear();  // join
+  EXPECT_EQ(failed_batches, 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  const GraphView last = store.Acquire();
+  EXPECT_EQ(last.graph->num_nodes(), 2u + 3 * kBatches);
+  EXPECT_EQ(last.graph->FindNode("y199").value(), 2u + 3 * 199 + 2);
+  EXPECT_EQ(loaded.graph->num_nodes(), 2u);
 }
 
 }  // namespace
