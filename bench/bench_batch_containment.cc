@@ -1,15 +1,18 @@
-// Tentpole benchmark for the automata cache (src/cache/) and the parallel
-// batch engine (src/containment/batch.h): a repeated-subexpression workload —
-// many containment pairs assembled from a small pool of shared regex
-// fragments, the shape a stream of related containment requests has. The
-// cache/jobs grid gives the headline comparison: cached --jobs 4 versus
-// uncached serial on identical pairs.
+// Benchmark for the automata cache (src/cache/) and the path-containment
+// jobs on the shared pool (src/containment/batch.h, common/parallel.h): a
+// repeated-subexpression workload — many containment pairs assembled from
+// a small pool of shared regex fragments, the shape a stream of related
+// containment requests has. The cache/jobs grid gives the headline
+// comparison: cached at 4 pool threads versus uncached serial on identical
+// pairs.
 #include <benchmark/benchmark.h>
 
 #include <string>
 #include <vector>
 
+#include "automata/containment.h"
 #include "cache/automata_cache.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "containment/batch.h"
 #include "regex/regex.h"
@@ -57,7 +60,8 @@ const Workload& SharedWorkload() {
 // Args: {cache on/off, jobs}. The cached configurations clear the cache once
 // before timing, so the first iteration populates it and the steady state
 // measures warm-cache throughput — the deployment profile for repeated
-// query-workload analysis.
+// query-workload analysis. The batch runs at the process-default worker
+// count, set to `jobs` for the benchmark and restored after.
 void BM_RepeatedSubexpressionBatch(benchmark::State& state) {
   const bool use_cache = state.range(0) != 0;
   const unsigned jobs = static_cast<unsigned>(state.range(1));
@@ -66,13 +70,14 @@ void BM_RepeatedSubexpressionBatch(benchmark::State& state) {
   const bool was_enabled = ac.enabled();
   ac.Clear();
   ac.SetEnabled(use_cache);
-  ContainmentBatchOptions options;
-  options.jobs = jobs;
+  const unsigned saved_jobs = DefaultParallelJobs();
+  SetDefaultParallelJobs(jobs);
   for (auto _ : state) {
     std::vector<PathContainmentResult> results =
-        CheckPathContainmentBatch(w.jobs, w.alphabet, options);
+        CheckPathContainmentBatch(w.jobs, w.alphabet);
     benchmark::DoNotOptimize(results.data());
   }
+  SetDefaultParallelJobs(saved_jobs);
   state.counters["pairs/iter"] = static_cast<double>(w.jobs.size());
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(w.jobs.size()));
@@ -86,7 +91,8 @@ BENCHMARK(BM_RepeatedSubexpressionBatch)
     ->Args({1, 2})
     ->Args({1, 4});  // headline: cached, 4 workers
 
-// NFA-level batch: same pairs pre-compiled, isolating the worker-pool and
+// NFA-level pairs: the same pairs pre-compiled and run through
+// CheckLanguageContainment on the pool, isolating the worker-pool and
 // verdict-cache overheads from regex compilation.
 void BM_NfaBatchVerdictCache(benchmark::State& state) {
   const bool use_cache = state.range(0) != 0;
@@ -102,19 +108,16 @@ void BM_NfaBatchVerdictCache(benchmark::State& state) {
     }
     return v;
   }();
-  std::vector<NfaContainmentJob> jobs_vec;
-  for (size_t i = 0; i < w.jobs.size(); ++i) {
-    jobs_vec.push_back({&(*nfas)[2 * i], &(*nfas)[2 * i + 1]});
-  }
   cache::AutomataCache& ac = cache::AutomataCache::Global();
   const bool was_enabled = ac.enabled();
   ac.Clear();
   ac.SetEnabled(use_cache);
-  ContainmentBatchOptions options;
-  options.jobs = jobs;
   for (auto _ : state) {
-    std::vector<LanguageContainmentResult> results =
-        CheckContainmentBatch(jobs_vec, options);
+    std::vector<LanguageContainmentResult> results(w.jobs.size());
+    ParallelFor(w.jobs.size(), jobs, [&results](size_t i) {
+      results[i] =
+          CheckLanguageContainment((*nfas)[2 * i], (*nfas)[2 * i + 1]);
+    });
     benchmark::DoNotOptimize(results.data());
   }
   ac.SetEnabled(was_enabled);

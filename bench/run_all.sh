@@ -22,7 +22,7 @@
 #   --cache       enable the automata cache in every binary; the suite
 #                 report then records the aggregate cache hit rate, and the
 #                 run fails if the cache saw no traffic at all
-#   --jobs N      process-default worker count for batched containment
+#   --jobs N      process-default worker count (common/parallel.h)
 #   --timeout S   hard per-binary wall-clock cap: a binary still running
 #                 after S seconds is killed (SIGTERM, then SIGKILL after
 #                 10 s) and the run fails with "TIMEOUT: <name>". Guards

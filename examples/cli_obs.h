@@ -10,13 +10,13 @@
 //                         dropped-span count) to stderr
 //   --profile             print an EXPLAIN ANALYZE-style per-query report
 //                         (plan notes, counters, distributions, gauge
-//                         levels, memory peaks, batch-worker rows) after
-//                         the answer
-//   --profile-json P      write the same report as JSON (rq-profile/1)
+//                         levels, memory peaks) after the answer
+//   --profile-json P      write the same report as JSON (rq-profile/2)
 //   --stats-json P        write the observability snapshot (counters,
 //                         gauges, histograms, spans; rq-obs/2)
 //   --chrome-trace P      write the spans as Chrome trace-event JSON
-//                         (Perfetto; one lane per batch worker thread)
+//                         (Perfetto; one lane per recording thread, so
+//                         one per pool thread with --jobs N)
 //   --flight-dump P       write the flight recorder's ring of completed
 //                         queries plus the slow-query log ("-" = stderr);
 //                         the ring also dumps to stderr from the
@@ -185,8 +185,8 @@ int RunObserved(const ObsFlags& flags, const QueryLabel& label, Body body) {
     ScopedExecContext scoped(&ctx);
     code = body();
   }
-  // exceeded() reads the shared pot, so trips latched on batch jobs and
-  // worker mirrors count too.
+  // exceeded() reads the shared pot, so trips latched on worker mirrors
+  // count too.
   if (code == label.error_exit && ctx.exceeded()) code = kMemoryBudgetExit;
 
   if (profiling) {

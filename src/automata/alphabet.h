@@ -52,10 +52,6 @@ class Alphabet {
   Symbol InternForward(std::string_view name) {
     return ForwardSymbolOf(InternLabel(name));
   }
-  // Convenience: inverse symbol of a (possibly new) label.
-  Symbol InternInverse(std::string_view name) {
-    return InverseSymbolOf(InternLabel(name));
-  }
 
   size_t num_labels() const { return labels_.size(); }
   // Number of symbols in Sigma± (2 * num_labels).

@@ -6,7 +6,6 @@
 #include "automata/reduce.h"
 #include "cache/key.h"
 #include "common/deadline.h"
-#include "twoway/complement.h"
 #include "twoway/fold.h"
 
 namespace rq {
@@ -37,23 +36,11 @@ AutomataCache::AutomataCache()
       epsfree_("epsfree", PerKindBudget(kDefaultTotalBytes)),
       fold_("fold", PerKindBudget(kDefaultTotalBytes)),
       complement_("complement", PerKindBudget(kDefaultTotalBytes)),
-      vardi_("vardi", PerKindBudget(kDefaultTotalBytes)),
       verdict_("verdict", PerKindBudget(kDefaultTotalBytes)) {}
 
 AutomataCache& AutomataCache::Global() {
   static AutomataCache* instance = new AutomataCache();
   return *instance;
-}
-
-void AutomataCache::SetByteBudget(size_t total_bytes) {
-  size_t each = PerKindBudget(total_bytes);
-  thompson_.set_byte_budget(each);
-  compiled_.set_byte_budget(each);
-  epsfree_.set_byte_budget(each);
-  fold_.set_byte_budget(each);
-  complement_.set_byte_budget(each);
-  vardi_.set_byte_budget(each);
-  verdict_.set_byte_budget(each);
 }
 
 void AutomataCache::Clear() {
@@ -62,7 +49,6 @@ void AutomataCache::Clear() {
   epsfree_.Clear();
   fold_.Clear();
   complement_.Clear();
-  vardi_.Clear();
   verdict_.Clear();
 }
 
@@ -169,22 +155,6 @@ std::shared_ptr<const Dfa> CachedComplementToDfa(const Nfa& nfa) {
   }
   size_t bytes = ApproxBytes(dfa);
   return cache.complement().Put(std::move(key), std::move(dfa), bytes);
-}
-
-Result<std::shared_ptr<const Nfa>> CachedVardiComplementNfa(
-    const TwoNfa& m, size_t max_states) {
-  AutomataCache& cache = AutomataCache::Global();
-  if (!cache.enabled()) {
-    RQ_ASSIGN_OR_RETURN(Nfa out, VardiComplementNfa(m, max_states));
-    return Own(std::move(out));
-  }
-  std::string key;
-  AppendU64(max_states, &key);
-  AppendEncoding(m, &key);
-  if (auto hit = cache.vardi().Get(key)) return hit;
-  RQ_ASSIGN_OR_RETURN(Nfa out, VardiComplementNfa(m, max_states));
-  size_t bytes = ApproxBytes(out);
-  return cache.vardi().Put(std::move(key), std::move(out), bytes);
 }
 
 std::string VerdictKey(const char* algo, const Nfa& a, const Nfa& b) {

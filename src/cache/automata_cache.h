@@ -1,8 +1,8 @@
 // Process-wide content-addressed memoization of the §3 pipeline's expensive
 // constructions: regex→NFA compilation, epsilon elimination, the Lemma 3
-// fold 2NFA, complementation (subset-construction DFA and Lemma 4 Vardi),
-// and whole containment verdicts. Keys are the canonical encodings of
-// cache/key.h; stores are the byte-budgeted LRUs of cache/lru.h.
+// fold 2NFA, subset-construction complementation and whole containment
+// verdicts. Keys are the canonical encodings of cache/key.h; stores are
+// the byte-budgeted LRUs of cache/lru.h.
 //
 // The cache is DISABLED by default: every Cached* helper then falls through
 // to a fresh construction, so default behavior (and every existing test) is
@@ -20,7 +20,6 @@
 #include "automata/dfa.h"
 #include "automata/nfa.h"
 #include "cache/lru.h"
-#include "common/status.h"
 #include "regex/regex.h"
 #include "twoway/two_nfa.h"
 
@@ -28,8 +27,8 @@ namespace rq {
 namespace cache {
 
 // One LRU store per construction kind, so a burst of one kind (say verdict
-// entries) cannot evict another kind wholesale. SetByteBudget splits the
-// total evenly across the kinds.
+// entries) cannot evict another kind wholesale. kDefaultTotalBytes is split
+// evenly across the kinds.
 class AutomataCache {
  public:
   static AutomataCache& Global();
@@ -39,8 +38,6 @@ class AutomataCache {
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  // Default budget when unset: kDefaultTotalBytes across all kinds.
-  void SetByteBudget(size_t total_bytes);
   void Clear();
 
   LruByteCache<Nfa>& thompson() { return thompson_; }
@@ -48,11 +45,10 @@ class AutomataCache {
   LruByteCache<Nfa>& epsfree() { return epsfree_; }
   LruByteCache<TwoNfa>& fold() { return fold_; }
   LruByteCache<Dfa>& complement() { return complement_; }
-  LruByteCache<Nfa>& vardi() { return vardi_; }
   LruByteCache<LanguageContainmentResult>& verdict() { return verdict_; }
 
   static constexpr size_t kDefaultTotalBytes = 64u << 20;
-  static constexpr size_t kNumKinds = 7;
+  static constexpr size_t kNumKinds = 6;
 
  private:
   AutomataCache();
@@ -63,7 +59,6 @@ class AutomataCache {
   LruByteCache<Nfa> epsfree_;
   LruByteCache<TwoNfa> fold_;
   LruByteCache<Dfa> complement_;
-  LruByteCache<Nfa> vardi_;
   LruByteCache<LanguageContainmentResult> verdict_;
 };
 
@@ -95,12 +90,6 @@ std::shared_ptr<const TwoNfa> CachedFoldTwoNfa(const Nfa& nfa);
 
 // Subset-construction complement DFA (automata/ops.h).
 std::shared_ptr<const Dfa> CachedComplementToDfa(const Nfa& nfa);
-
-// Lemma 4 Vardi complement (twoway/complement.h). Only successes are
-// cached; a ResourceExhausted verdict is recomputed each time (it is rare
-// and deterministic for a given budget).
-Result<std::shared_ptr<const Nfa>> CachedVardiComplementNfa(
-    const TwoNfa& m, size_t max_states);
 
 // Key for a whole-containment-check verdict. `algo` tags the checker
 // ("otf", "antichain", "explicit", "fold") because counterexample shapes

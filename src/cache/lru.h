@@ -109,14 +109,6 @@ class LruByteCache {
     bytes_ = 0;
   }
 
-  void set_byte_budget(size_t byte_budget) {
-    std::lock_guard<std::mutex> lock(mu_);
-    byte_budget_ = byte_budget;
-    while (bytes_ > byte_budget_ && !lru_.empty()) {
-      EvictBackLocked();
-    }
-  }
-
   size_t bytes() const {
     std::lock_guard<std::mutex> lock(mu_);
     return bytes_;
@@ -152,7 +144,7 @@ class LruByteCache {
 
   const std::string kind_;
   mutable std::mutex mu_;
-  size_t byte_budget_;
+  const size_t byte_budget_;
   size_t bytes_ = 0;
   // Most-recent at the front. The index's string_view keys point into the
   // list entries' strings, which are stable across splices.

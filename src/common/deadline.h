@@ -30,8 +30,7 @@
 // site: ParallelFor (common/parallel.h) captures the calling thread's
 // installation and installs an ExecContext::ChildOf mirror on each worker.
 // Mirrors and contexts built with a parent carry the parent's profile, so
-// worker and batch-job notes land in the profile of the query that
-// spawned them.
+// worker notes land in the profile of the query that spawned them.
 #ifndef RQ_COMMON_DEADLINE_H_
 #define RQ_COMMON_DEADLINE_H_
 
@@ -61,10 +60,6 @@ class Deadline {
   static Deadline AfterNanos(int64_t ns);
   static Deadline AfterMillis(int64_t ms) {
     return AfterNanos(ms * 1'000'000);
-  }
-  // The earlier of two deadlines (an infinite one never wins).
-  static Deadline Earlier(Deadline a, Deadline b) {
-    return a.ns_ < b.ns_ ? a : b;
   }
 
   bool IsInfinite() const { return ns_ == kInfiniteNs; }
@@ -101,8 +96,8 @@ class CancelToken {
 // built with ChildOf, which ParallelFor installs on its workers.
 //
 // A context built with a parent chains its pot to the parent's: charges
-// propagate up the chain (a batch job's bytes also count against the
-// caller's pot) and a budget crossed anywhere on the chain stops this
+// propagate up the chain (a request's bytes also count against the
+// server's pot) and a budget crossed anywhere on the chain stops this
 // context too. It also inherits the parent's profile. The deadline and
 // cancel token are this context's own.
 class ExecContext {
@@ -137,10 +132,10 @@ class ExecContext {
   const Deadline& deadline() const { return deadline_; }
   CancelToken* cancel_token() const { return cancel_; }
 
-  // The profile recording this query's plan notes and worker rows, or
-  // null (obs::QueryProfile::Begin attaches one). Mirrors and child
-  // contexts copy it when they are built, so attach it before the context
-  // is shared.
+  // The profile recording this query's plan notes, or null
+  // (obs::QueryProfile::Begin attaches one). Mirrors and child contexts
+  // copy it when they are built, so attach it before the context is
+  // shared.
   obs::QueryProfile* profile() const { return profile_; }
   void set_profile(obs::QueryProfile* profile) { profile_ = profile; }
 

@@ -21,8 +21,9 @@
 // would inline. A mirror latches on its own thread, so the caller learns
 // of a worker's trip by polling its own context after the pool joins.
 //
-// This is the pool behind batched containment (containment/batch.h) and
-// multi-source graph evaluation (pathquery/path_query.h).
+// This is the pool behind the front door's path-containment jobs
+// (containment/batch.h) and multi-source graph evaluation
+// (pathquery/path_query.h).
 #ifndef RQ_COMMON_PARALLEL_H_
 #define RQ_COMMON_PARALLEL_H_
 
@@ -37,32 +38,26 @@
 
 namespace rq {
 
-// Process-wide default worker count used when a caller's jobs option is 0.
-// Starts at 1 (serial); the CLI --jobs flags (rqcheck, rqeval, bench
-// harness) raise it. Batched containment and multi-source graph evaluation
-// both read it.
+// Process-wide default worker count. Starts at 1 (serial); the --jobs
+// flags (rqcheck, rqeval, rqserved, bench harness) raise it. Path-query
+// containment jobs always run at it, and multi-source graph evaluation
+// when its jobs option is 0.
 void SetDefaultParallelJobs(unsigned jobs);
 unsigned DefaultParallelJobs();
 
-// Worker-attributed variant: work(worker, i) additionally receives the
-// dense id of the pool thread running it (0..workers-1; always 0 on the
-// inline serial path). Lets callers keep PER-WORKER accumulators that are
-// touched by exactly one thread — the batch containment engine uses this
-// to build per-worker profile rows (obs/profile.h) without shared state
-// in the job loop.
 template <typename Work>
-void ParallelForWorker(size_t n, unsigned jobs, Work&& work) {
+void ParallelFor(size_t n, unsigned jobs, Work&& work) {
   if (jobs <= 1 || n <= 1) {
-    for (size_t i = 0; i < n; ++i) work(0u, i);
+    for (size_t i = 0; i < n; ++i) work(i);
     return;
   }
   unsigned workers = jobs < n ? jobs : static_cast<unsigned>(n);
   const ExecContext* parent = ExecContext::Current();
   std::atomic<size_t> next{0};
-  auto drain = [&next, n, &work](unsigned w) {
+  auto drain = [&next, n, &work] {
     for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
          i = next.fetch_add(1, std::memory_order_relaxed)) {
-      work(w, i);
+      work(i);
     }
   };
   {
@@ -70,11 +65,11 @@ void ParallelForWorker(size_t n, unsigned jobs, Work&& work) {
     pool.reserve(workers);
     for (unsigned w = 0; w < workers; ++w) {
       try {
-        pool.emplace_back([&drain, w, parent] {
+        pool.emplace_back([&drain, parent] {
           // A caller without a context gets workers without one.
           ExecContext mirror = ExecContext::ChildOf(parent);
           ScopedExecContext scoped(parent != nullptr ? &mirror : nullptr);
-          drain(w);
+          drain();
         });
       } catch (const std::system_error&) {
         // No thread (EAGAIN): the ones started drain the queue, or the
@@ -84,14 +79,8 @@ void ParallelForWorker(size_t n, unsigned jobs, Work&& work) {
         break;  // no memory for the thread's state: likewise
       }
     }
-    if (pool.empty()) drain(0);
+    if (pool.empty()) drain();
   }  // jthreads join here
-}
-
-template <typename Work>
-void ParallelFor(size_t n, unsigned jobs, Work&& work) {
-  ParallelForWorker(n, jobs,
-                    [&work](unsigned /*worker*/, size_t i) { work(i); });
 }
 
 }  // namespace rq

@@ -85,12 +85,5 @@ std::vector<MemTimelineSample> CollectMemTimeline() {
   return timeline.samples;
 }
 
-void ClearMemTimeline() {
-  Timeline& timeline = GetTimeline();
-  std::lock_guard<std::mutex> lock(timeline.mu);
-  timeline.samples.clear();
-  timeline.last_total = 0;
-}
-
 }  // namespace obs
 }  // namespace rq

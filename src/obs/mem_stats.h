@@ -85,7 +85,6 @@ inline constexpr size_t kMemTimelineCap = 4096;
 void MaybeRecordMemTimelineSample();
 
 std::vector<MemTimelineSample> CollectMemTimeline();
-void ClearMemTimeline();
 
 }  // namespace obs
 }  // namespace rq

@@ -71,12 +71,6 @@ void QueryProfile::AddNote(const std::string& key, std::string value) {
   notes_[key] = std::move(value);
 }
 
-void QueryProfile::RecordWorker(uint32_t worker, uint64_t jobs,
-                                uint64_t busy_ns) {
-  std::lock_guard<std::mutex> lock(mu_);
-  workers_.push_back({worker, jobs, busy_ns});
-}
-
 std::map<std::string, std::string> QueryProfile::notes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return notes_;
@@ -89,7 +83,7 @@ QueryProfile* CurrentProfile() {
 
 JsonValue QueryProfile::ToJson() const {
   JsonValue root = JsonValue::Object();
-  root.Set("schema", JsonValue::String("rq-profile/1"));
+  root.Set("schema", JsonValue::String("rq-profile/2"));
   root.Set("tool", JsonValue::String(tool_));
   root.Set("class", JsonValue::String(query_class_));
   root.Set("query", JsonValue::String(query_text_));
@@ -144,17 +138,6 @@ JsonValue QueryProfile::ToJson() const {
   }
   root.Set("span_stats", std::move(spans));
 
-  std::lock_guard<std::mutex> lock(mu_);
-  JsonValue workers = JsonValue::Array();
-  for (const ProfileWorker& worker : workers_) {
-    JsonValue entry = JsonValue::Object();
-    entry.Set("worker", JsonValue::Number(static_cast<uint64_t>(worker.worker)));
-    entry.Set("jobs", JsonValue::Number(worker.jobs));
-    entry.Set("busy_ns", JsonValue::Number(worker.busy_ns));
-    workers.Append(std::move(entry));
-  }
-  root.Set("workers", std::move(workers));
-
   if (memory_.present) {
     JsonValue memory = JsonValue::Object();
     memory.Set("peak_total_bytes", JsonValue::Number(memory_.peak_total_bytes));
@@ -170,6 +153,7 @@ JsonValue QueryProfile::ToJson() const {
     root.Set("memory", std::move(memory));
   }
 
+  std::lock_guard<std::mutex> lock(mu_);
   JsonValue notes = JsonValue::Object();
   for (const auto& [key, value] : notes_) {
     notes.Set(key, JsonValue::String(value));
@@ -180,7 +164,7 @@ JsonValue QueryProfile::ToJson() const {
 
 std::string QueryProfile::ToText() const {
   std::string out;
-  out += "== rq-profile/1: " + tool_ + " " + query_class_ + "  (" +
+  out += "== rq-profile/2: " + tool_ + " " + query_class_ + "  (" +
          FormatMs(wall_ns_) + " wall)\n";
   if (!query_text_.empty()) out += "query: " + query_text_ + "\n";
   {
@@ -239,17 +223,6 @@ std::string QueryProfile::ToText() const {
       out += std::string("  ") +
              MemSubsystemName(static_cast<MemSubsystem>(i)) + "  " +
              std::to_string(memory_.peak_subsystem_bytes[i]) + "\n";
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!workers_.empty()) {
-      out += "batch workers:\n";
-      for (const ProfileWorker& worker : workers_) {
-        out += "  w" + std::to_string(worker.worker) +
-               ": jobs=" + std::to_string(worker.jobs) +
-               "  busy=" + FormatMs(worker.busy_ns) + "\n";
-      }
     }
   }
   return out;

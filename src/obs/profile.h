@@ -1,17 +1,13 @@
 // Per-query profile record: one containment check or evaluation, rendered
 // as an EXPLAIN ANALYZE-style report (text and JSON, schema
-// "rq-profile/1"; see docs/OBSERVABILITY.md).
+// "rq-profile/2"; see docs/OBSERVABILITY.md).
 //
 // Begin attaches the profile to the query's ExecContext
-// (common/deadline.h). ParallelFor mirrors of that context and the
-// contexts batch jobs build with it as parent carry the same pointer, so
-// subsystems annotate the profile of the query they run for through
-// CurrentProfile():
-//  * pipeline entry points attach plan notes (dispatch method, pipeline
-//    chosen);
-//  * the batch containment engine (containment/batch.h) reports one row
-//    per pool worker — jobs run and busy wall-time.
-// Work under a context without a profile records nothing, whatever other
+// (common/deadline.h). ParallelFor mirrors of that context carry the same
+// pointer, so pipeline entry points attach their plan notes (dispatch
+// method, pipeline chosen, eval route) to the profile of the query they
+// run for through CurrentProfile(), on whichever thread they run. Work
+// under a context without a profile records nothing, whatever other
 // threads are profiling.
 //
 // End reads the memory section from the attached context and takes one
@@ -39,14 +35,6 @@ class ExecContext;
 
 namespace obs {
 
-// One batch-pool worker's contribution (containment/batch.cc flushes one
-// row per worker thread after the pool joins).
-struct ProfileWorker {
-  uint32_t worker = 0;
-  uint64_t jobs = 0;
-  uint64_t busy_ns = 0;
-};
-
 // Per-query memory attribution, read from the pot of the attached context
 // at End. `present` is false when no context was attached; the memory
 // section is then omitted from the report.
@@ -65,7 +53,7 @@ class QueryProfile {
   QueryProfile& operator=(const QueryProfile&) = delete;
 
   // Starts the wall clock and attaches this profile to `ctx`, the context
-  // the query runs under (null: no notes, worker rows or memory section).
+  // the query runs under (null: no notes or memory section).
   // Attach before the context is shared with other threads. `tool`,
   // `query_class` and `query_text` describe the query for the report.
   void Begin(std::string tool, std::string query_class,
@@ -74,9 +62,8 @@ class QueryProfile {
   // and snapshots the registry and span stats.
   void End();
 
-  // Subsystem annotations (thread-safe; callable between Begin and End).
+  // Subsystem annotation (thread-safe; callable between Begin and End).
   void AddNote(const std::string& key, std::string value);
-  void RecordWorker(uint32_t worker, uint64_t jobs, uint64_t busy_ns);
 
   // Report accessors (valid after End). The metric lists hold the
   // registry's non-zero rows, name-sorted.
@@ -89,12 +76,11 @@ class QueryProfile {
   }
   const std::vector<GaugeSample>& gauges() const { return metrics_.gauges; }
   const std::vector<SpanStats>& spans() const { return spans_; }
-  const std::vector<ProfileWorker>& workers() const { return workers_; }
   std::map<std::string, std::string> notes() const;
   const ProfileMemory& memory() const { return memory_; }
 
-  // Renders the report. Schema "rq-profile/1":
-  //   { "schema": "rq-profile/1",
+  // Renders the report. Schema "rq-profile/2":
+  //   { "schema": "rq-profile/2",
   //     "tool": S, "class": S, "query": S, "collected": B, "wall_ns": N,
   //     "counters":   [ {"name": S, "delta": N}, ... ],        // sorted
   //     "histograms": [ {"name": S, "count": N, "sum": N,
@@ -102,7 +88,6 @@ class QueryProfile {
   //     "gauges":     [ {"name": S, "begin": 0, "end": N,
   //                      "peak": N, "peak_raised": B}, ... ],
   //     "span_stats": [ {"name": S, "count": N, "total_ns": N}, ... ],
-  //     "workers":    [ {"worker": N, "jobs": N, "busy_ns": N}, ... ],
   //     "memory":     { "peak_total_bytes": N, "budget_bytes": N,
   //                     "exceeded": B,
   //                     "peak_subsystem_bytes": { name: N, ... } },
@@ -127,9 +112,8 @@ class QueryProfile {
   std::vector<SpanStats> spans_;
   ProfileMemory memory_;
 
-  // Annotations (guarded by mu_: workers write concurrently).
+  // Annotations (guarded by mu_: pool threads write concurrently).
   mutable std::mutex mu_;
-  std::vector<ProfileWorker> workers_;
   std::map<std::string, std::string> notes_;
 };
 

@@ -51,11 +51,6 @@ IncrCounters& IncrCounters::Get() {
   return *instance;
 }
 
-BatchCounters& BatchCounters::Get() {
-  static BatchCounters* instance = new BatchCounters();
-  return *instance;
-}
-
 ServerCounters& ServerCounters::Get() {
   static ServerCounters* instance = new ServerCounters();
   return *instance;
@@ -86,7 +81,6 @@ void RegisterSubsystemMetrics() {
   CacheCounters::Get();
   GraphEvalCounters::Get();
   IncrCounters::Get();
-  BatchCounters::Get();
   ServerCounters::Get();
   ObsCounters::Get();
   DeadlineCounters::Get();

@@ -152,17 +152,6 @@ struct IncrCounters {
   static IncrCounters& Get();
 };
 
-// Batch containment engine (src/containment/batch.h).
-struct BatchCounters {
-  Counter& batches = *GetCounter("containment.batches");
-  Counter& batch_checks = *GetCounter("containment.batch_checks");
-  // Jobs submitted but not yet finished (peak = deepest backlog any
-  // overlapping set of batches ever reached).
-  Gauge& queue_depth = *GetGauge("containment.batch_queue_depth");
-
-  static BatchCounters& Get();
-};
-
 // Long-lived query service (src/server/, docs/SERVING.md). Requests counts
 // every framed request read off a connection; shed counts admission-control
 // rejections (bounded queue full or in-flight bytes over the threshold) —

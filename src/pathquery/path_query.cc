@@ -191,7 +191,7 @@ unsigned LaneWorkers(size_t num_sources, const PathEvalOptions& options) {
 // Evaluates `input` from every position of `sources` (unsorted,
 // duplicated and out-of-range entries allowed; each position is its own
 // lane bit). Lanes are handed out by a ticket to `workers` workers, one
-// ParallelForWorker item each, so a worker keeps one scratch set, one
+// ParallelFor item each, so a worker keeps one scratch set, one
 // memory scope and one set of tallies across its lanes. Each finished
 // lane goes to place(lane, lane_sources, scratch, counts) on the worker
 // that ran it, inside that worker's `graph` scope: place charges what it
@@ -223,7 +223,7 @@ void EvalLanes(const GraphSnapshot& snapshot, const Nfa& input,
   std::atomic<uint64_t> total_answers{0};
   // Every worker observes the caller's context: the pool installs a
   // mirror of it on each worker (common/parallel.h).
-  ParallelForWorker(workers, workers, [&](unsigned, size_t) {
+  ParallelFor(workers, workers, [&](size_t) {
     MemScope mem_scope(MemSubsystem::kGraph);
     std::optional<LaneScratch> scratch;
     LaneStats stats;

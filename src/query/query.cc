@@ -32,8 +32,8 @@ Verdict FromRq(const RqContainmentResult& result) {
 }
 
 // Decides q1 ⊑ q2 for regexes, and q2 ⊑ q1 too when `both`, as one batch
-// of jobs: each job's context clips its deadline to, and chains its pot
-// to, the caller's installed context, and the shared automata cache
+// of jobs under the caller's installed context: its deadline, cancel token
+// and byte budget bound both directions, and the shared automata cache
 // deduplicates sub-constructions across concurrent checks.
 Result<std::vector<Verdict>> CheckPaths(std::string_view q1,
                                         std::string_view q2, bool both) {

@@ -17,9 +17,10 @@
 //                                     else bounded expansions     kernel or
 //                                                                 semi-naive
 //
-// rpq and 2rpq checks run as batch jobs (containment/batch.h): each under
-// a job context chained to the caller's, and the two directions of an
-// equivalence concurrently when workers are free.
+// rpq and 2rpq checks run as path-containment jobs (containment/batch.h)
+// under the caller's context: one job for a containment, one per
+// direction for an equivalence, the two concurrently when the process
+// default worker count is above 1.
 //
 // An eval runs on the lowest rung of the ladder it lies on
 // (docs/EVALUATION.md "Routes"): a crpq whose disjuncts are chains, a

@@ -245,12 +245,6 @@ std::vector<std::string> Database::RelationNames() const {
   return names;
 }
 
-size_t Database::TotalTuples() const {
-  size_t n = 0;
-  for (const auto& [name, rel] : relations_) n += rel.size();
-  return n;
-}
-
 void Database::BuildIndexes() {
   for (auto& [name, rel] : relations_) rel.BuildIndexes();
 }

@@ -198,8 +198,6 @@ class Database {
 
   std::vector<std::string> RelationNames() const;
 
-  size_t TotalTuples() const;
-
   // Builds every relation's column indexes (Relation::BuildIndexes), so
   // the database can be read from several threads at once.
   void BuildIndexes();

@@ -25,8 +25,9 @@
 //     request's timeout_ms / memory_budget_mb clipped to the server caps;
 //     request contexts chain their pots to one server-wide pot, which is
 //     what the in-flight byte threshold reads. The containment/eval
-//     handlers reuse the batch engine and the shared automata cache, so the
-//     cache stays warm across requests.
+//     handlers run through the query front door (query/query.h), whose
+//     checks run under the request's context and share the automata
+//     cache, so the cache stays warm across requests.
 //
 // Graceful drain (SIGTERM in rqserved): BeginDrain() stops accepting,
 // requests already queued or running complete and their responses are

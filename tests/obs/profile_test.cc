@@ -1,6 +1,6 @@
 // Tests for the per-query profile record (obs/profile.h): subsystem
-// annotations (notes, worker rows), the rq-profile/1 JSON and text
-// reports, and reconciliation of the report with the registry at End().
+// annotations (notes), the rq-profile/2 JSON and text reports, and
+// reconciliation of the report with the registry at End().
 #include "obs/profile.h"
 
 #include <cstdint>
@@ -17,23 +17,17 @@ namespace rq {
 namespace obs {
 namespace {
 
-TEST(ProfileTest, AnnotationsAndWorkersInReport) {
+TEST(ProfileTest, AnnotationsInReport) {
   QueryProfile profile;
   profile.Begin("test", "unit", "annotations");
   profile.AddNote("dispatch.method", "2rpq-fold");
-  profile.RecordWorker(0, 7, 1500);
-  profile.RecordWorker(1, 9, 2500);
   profile.End();
 
-  ASSERT_EQ(profile.workers().size(), 2u);
-  EXPECT_EQ(profile.workers()[0].worker, 0u);
-  EXPECT_EQ(profile.workers()[0].jobs, 7u);
-  EXPECT_EQ(profile.workers()[1].busy_ns, 2500u);
-
   std::string json = profile.ToJson().Dump();
-  EXPECT_NE(json.find("\"rq-profile/1\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"rq-profile/2\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"dispatch.method\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"2rpq-fold\""), std::string::npos) << json;
+  EXPECT_EQ(profile.ToJson().Find("workers"), nullptr) << json;
 }
 
 TEST(ProfileTest, TextReportCarriesQueryAndDeltas) {

@@ -1,8 +1,8 @@
 // Differential property test over the containment engines (ctest label
 // `property`): on seeded random NFA pairs, the on-the-fly, antichain, and
 // explicit-complement checkers must agree on every verdict, every
-// counterexample must separate the languages, and the cached and batched
-// paths must reproduce the uncached serial verdicts exactly.
+// counterexample must separate the languages, and the cached checker on
+// parallel workers must reproduce the uncached serial verdicts exactly.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -10,8 +10,8 @@
 #include "automata/containment.h"
 #include "automata/nfa.h"
 #include "cache/automata_cache.h"
+#include "common/parallel.h"
 #include "common/rng.h"
-#include "containment/batch.h"
 
 namespace rq {
 namespace {
@@ -102,22 +102,19 @@ TEST(ContainmentDifferentialTest, CounterexamplesSeparateTheLanguages) {
   EXPECT_GT(refuted, 10);
 }
 
+// The cached checker on four ParallelFor workers against the uncached
+// serial baseline.
 TEST(ContainmentDifferentialTest, CachedAndBatchedPathsMatchBaseline) {
   const Fixture& f = SharedFixture();
-  std::vector<NfaContainmentJob> jobs;
-  for (int i = 0; i < kNumPairs; ++i) {
-    jobs.push_back({&f.as[i], &f.bs[i]});
-  }
   cache::AutomataCache& ac = cache::AutomataCache::Global();
   ac.Clear();
   ac.SetEnabled(true);
-  ContainmentBatchOptions options;
-  options.jobs = 4;
   // Two rounds: the second one answers from the verdict cache.
   for (int round = 0; round < 2; ++round) {
-    std::vector<LanguageContainmentResult> batched =
-        CheckContainmentBatch(jobs, options);
-    ASSERT_EQ(batched.size(), static_cast<size_t>(kNumPairs));
+    std::vector<LanguageContainmentResult> batched(kNumPairs);
+    ParallelFor(kNumPairs, 4, [&](size_t i) {
+      batched[i] = CheckLanguageContainment(f.as[i], f.bs[i]);
+    });
     for (int i = 0; i < kNumPairs; ++i) {
       EXPECT_EQ(batched[i].contained, f.baseline[i].contained)
           << "round " << round << " pair " << i;

@@ -15,6 +15,7 @@
 #include "automata/containment.h"
 #include "cache/lru.h"
 #include "common/mem.h"
+#include "common/parallel.h"
 #include "containment/batch.h"
 #include "crpq/crpq.h"
 #include "datalog/eval.h"
@@ -51,16 +52,6 @@ TEST(DeadlineTest, PastDeadlineIsExpired) {
   EXPECT_TRUE(ExpiredDeadline().Expired());
   EXPECT_LT(ExpiredDeadline().RemainingNanos(), 0);
   EXPECT_FALSE(Deadline::AfterMillis(60'000).Expired());
-}
-
-TEST(DeadlineTest, EarlierPicksFiniteOverInfinite) {
-  Deadline finite = Deadline::AfterMillis(60'000);
-  EXPECT_FALSE(
-      Deadline::Earlier(finite, Deadline::Infinite()).IsInfinite());
-  EXPECT_FALSE(
-      Deadline::Earlier(Deadline::Infinite(), finite).IsInfinite());
-  EXPECT_TRUE(Deadline::Earlier(Deadline::Infinite(), Deadline::Infinite())
-                  .IsInfinite());
 }
 
 TEST(ExecContextTest, NoInstalledContextIsOk) {
@@ -311,26 +302,33 @@ TEST(RewritingBudgetTest, SubsetBudgetReturnsResourceExhausted) {
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
 
+// The path-containment jobs with the process default at `workers`
+// (restored after).
+std::vector<PathContainmentResult> RunBatch(
+    const std::vector<PathContainmentJob>& jobs, const Alphabet& alphabet,
+    unsigned workers) {
+  const unsigned saved = DefaultParallelJobs();
+  SetDefaultParallelJobs(workers);
+  std::vector<PathContainmentResult> results =
+      CheckPathContainmentBatch(jobs, alphabet);
+  SetDefaultParallelJobs(saved);
+  return results;
+}
+
 TEST(BatchStatusTest, NullJobsGetPerJobInvalidArgument) {
   Alphabet alphabet;
   RegexPtr r = Parse("a", &alphabet);
-  Nfa a = r->ToNfa(r->MinNumSymbols());
-  std::vector<NfaContainmentJob> jobs;
-  jobs.push_back({&a, &a});      // contained
-  jobs.push_back({nullptr, &a}); // invalid
-  jobs.push_back({&a, nullptr}); // invalid
-  jobs.push_back({&a, &a});      // contained — must still run
-  ContainmentBatchOptions options;
-  options.jobs = 2;
-  std::vector<LanguageContainmentResult> results =
-      CheckContainmentBatch(jobs, options);
+  std::vector<PathContainmentJob> jobs;
+  jobs.push_back({r.get(), r.get()});   // contained
+  jobs.push_back({nullptr, r.get()});   // invalid
+  jobs.push_back({r.get(), nullptr});   // invalid
+  jobs.push_back({r.get(), r.get()});   // contained — must still run
+  std::vector<PathContainmentResult> results = RunBatch(jobs, alphabet, 2);
   ASSERT_EQ(results.size(), 4u);
   EXPECT_TRUE(results[0].status.ok());
   EXPECT_TRUE(results[0].contained);
   EXPECT_EQ(results[1].status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(results[2].status.code(), StatusCode::kInvalidArgument);
-  // Validation failures must not trip the first-error cancellation: the
-  // healthy jobs still complete.
   EXPECT_TRUE(results[3].status.ok());
   EXPECT_TRUE(results[3].contained);
 }
@@ -342,64 +340,43 @@ TEST(BatchStatusTest, PathBatchNullJobsGetPerJobInvalidArgument) {
   jobs.push_back({q.get(), q.get()});
   jobs.push_back({nullptr, q.get()});
   std::vector<PathContainmentResult> results =
-      CheckPathContainmentBatch(jobs, alphabet, {});
+      CheckPathContainmentBatch(jobs, alphabet);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_TRUE(results[0].status.ok());
   EXPECT_TRUE(results[0].contained);
   EXPECT_EQ(results[1].status.code(), StatusCode::kInvalidArgument);
 }
 
-TEST(BatchStatusTest, ExpiredParentDeadlineFailsFirstJobAndCancelsRest) {
+// Jobs run under the caller's context, so its expired deadline stops each
+// one at its pre-job poll, inline and on pool threads alike.
+TEST(BatchStatusTest, ExpiredCallerDeadlineFailsEveryJob) {
   Alphabet alphabet;
   RegexPtr r = Parse("(a | b)* a", &alphabet);
-  Nfa a = r->ToNfa(r->MinNumSymbols());
-  std::vector<NfaContainmentJob> jobs(4, {&a, &a});
-  ExecContext parent(ExpiredDeadline());
-  ScopedExecContext scoped(&parent);
-  ContainmentBatchOptions options;
-  options.jobs = 1;  // serial: deterministic first-error ordering
-  std::vector<LanguageContainmentResult> results =
-      CheckContainmentBatch(jobs, options);
-  ASSERT_EQ(results.size(), 4u);
-  EXPECT_EQ(results[0].status.code(), StatusCode::kDeadlineExceeded);
-  for (size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].status.code(), StatusCode::kCancelled)
-        << "job " << i;
-  }
-}
-
-TEST(BatchStatusTest, CancelOnErrorFalseKeepsRemainingJobsRunning) {
-  Alphabet alphabet;
-  RegexPtr r = Parse("a", &alphabet);
-  Nfa a = r->ToNfa(r->MinNumSymbols());
-  std::vector<NfaContainmentJob> jobs(3, {&a, &a});
-  ExecContext parent(ExpiredDeadline());
-  ScopedExecContext scoped(&parent);
-  ContainmentBatchOptions options;
-  options.jobs = 1;
-  options.cancel_on_error = false;
-  std::vector<LanguageContainmentResult> results =
-      CheckContainmentBatch(jobs, options);
-  for (size_t i = 0; i < results.size(); ++i) {
-    // Every job runs (no first-error cancellation) and each one trips its
-    // own expired deadline.
-    EXPECT_EQ(results[i].status.code(), StatusCode::kDeadlineExceeded)
-        << "job " << i;
+  std::vector<PathContainmentJob> jobs(8, {r.get(), r.get()});
+  ExecContext caller(ExpiredDeadline());
+  ScopedExecContext scoped(&caller);
+  for (unsigned workers : {1u, 4u}) {
+    obs::CounterDelta delta;
+    std::vector<PathContainmentResult> results =
+        RunBatch(jobs, alphabet, workers);
+    ASSERT_EQ(results.size(), jobs.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ(results[i].status.code(), StatusCode::kDeadlineExceeded)
+          << "workers " << workers << " job " << i;
+    }
+    EXPECT_EQ(delta.Delta("containment.checks"), 0u);
   }
 }
 
 TEST(BatchStatusTest, ExternalTokenCancelsQueuedJobs) {
   Alphabet alphabet;
   RegexPtr r = Parse("a", &alphabet);
-  Nfa a = r->ToNfa(r->MinNumSymbols());
-  std::vector<NfaContainmentJob> jobs(3, {&a, &a});
+  std::vector<PathContainmentJob> jobs(3, {r.get(), r.get()});
   CancelToken token;
   token.Cancel();  // already fired: every job reports kCancelled
-  ContainmentBatchOptions options;
-  options.jobs = 2;
-  options.cancel = &token;
-  std::vector<LanguageContainmentResult> results =
-      CheckContainmentBatch(jobs, options);
+  ExecContext caller(Deadline::Infinite(), &token);
+  ScopedExecContext scoped(&caller);
+  std::vector<PathContainmentResult> results = RunBatch(jobs, alphabet, 2);
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].status.code(), StatusCode::kCancelled)
         << "job " << i;

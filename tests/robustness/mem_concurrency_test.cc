@@ -2,7 +2,7 @@
 // binary): ExecContext::ChildOf mirrors charging one shared pot from many
 // threads, budget trips racing across mirrors, the executor installing a
 // mirror of the caller's context on every ParallelFor worker, and the two
-// fan-out sites built on it (the batch containment pool and parallel
+// fan-out sites built on it (path-containment jobs and parallel
 // multi-source graph evaluation). ThreadSanitizer checks the atomics; the
 // asserts check that concurrent charges aggregate exactly and that budget
 // trips are sticky and coherent on every thread.
@@ -12,6 +12,7 @@
 
 #include <latch>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,43 +28,6 @@
 
 namespace rq {
 namespace {
-
-constexpr uint32_t kNumSymbols = 3;
-
-Nfa RandomNfa(Rng& rng) {
-  uint32_t num_states = 4 + static_cast<uint32_t>(rng.Below(6));
-  Nfa nfa(kNumSymbols);
-  for (uint32_t s = 0; s < num_states; ++s) nfa.AddState();
-  nfa.AddInitial(static_cast<uint32_t>(rng.Below(num_states)));
-  uint32_t num_transitions =
-      2 * num_states + static_cast<uint32_t>(rng.Below(num_states));
-  for (uint32_t t = 0; t < num_transitions; ++t) {
-    nfa.AddTransition(static_cast<uint32_t>(rng.Below(num_states)),
-                      static_cast<Symbol>(rng.Below(kNumSymbols)),
-                      static_cast<uint32_t>(rng.Below(num_states)));
-  }
-  for (uint32_t s = 0; s < num_states; ++s) {
-    if (rng.Below(3) == 0) nfa.SetAccepting(s);
-  }
-  return nfa;
-}
-
-struct NfaPool {
-  std::vector<Nfa> automata;
-  std::vector<NfaContainmentJob> jobs;
-};
-
-NfaPool MakePool(int num_jobs, uint64_t seed) {
-  NfaPool pool;
-  Rng rng(seed);
-  for (int i = 0; i < 2 * num_jobs; ++i) {
-    pool.automata.push_back(RandomNfa(rng));
-  }
-  for (int i = 0; i < num_jobs; ++i) {
-    pool.jobs.push_back({&pool.automata[2 * i], &pool.automata[2 * i + 1]});
-  }
-  return pool;
-}
 
 TEST(MemConcurrencyTest, MirrorsAggregateExactlyIntoOnePot) {
   constexpr int kThreads = 8;
@@ -171,42 +135,37 @@ TEST(MemConcurrencyTest, ParallelForWorkersChargeTheCallersPot) {
 }
 
 TEST(MemConcurrencyTest, BatchPoolWorkersChargeCallerPot) {
-  NfaPool pool = MakePool(24, 1234);
+  // One-way pairs, each deciding through the subset-interning Lemma 1
+  // check, which charges the automata subsystem.
+  Alphabet alphabet;
+  std::vector<RegexPtr> regexes;
+  std::vector<PathContainmentJob> jobs;
+  Rng rng(1234);
+  const char* labels[] = {"a", "b", "c"};
+  for (int i = 0; i < 24; ++i) {
+    std::string q2 = "(a | b | c)*";
+    for (int k = 0; k < 3 + i % 4; ++k) {
+      q2 += std::string(" ") + labels[rng.Below(3)];
+    }
+    regexes.push_back(ParseRegex("(a | b | c)* a", &alphabet).value());
+    regexes.push_back(ParseRegex(q2, &alphabet).value());
+    jobs.push_back({regexes[regexes.size() - 2].get(), regexes.back().get()});
+  }
   ExecContext root;
   ScopedExecContext scoped(&root);
-  ContainmentBatchOptions options;
-  options.jobs = 4;
-  options.algo = ContainmentAlgo::kExplicit;  // determinizes, so it charges
-  std::vector<LanguageContainmentResult> results =
-      CheckContainmentBatch(pool.jobs, options);
-  ASSERT_EQ(results.size(), pool.jobs.size());
+  const unsigned saved = DefaultParallelJobs();
+  SetDefaultParallelJobs(4);
+  std::vector<PathContainmentResult> results =
+      CheckPathContainmentBatch(jobs, alphabet);
+  SetDefaultParallelJobs(saved);
+  ASSERT_EQ(results.size(), jobs.size());
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_TRUE(results[i].status.ok()) << "job " << i;
   }
-  // Per-job contexts chained to the caller's context: their subset-row
-  // charges aggregated into this pot from pool threads.
+  // The pool threads' mirrors charged this pot directly.
   EXPECT_GT(root.peak_total_bytes(), 0u);
   EXPECT_GT(root.peak_subsystem_bytes(MemSubsystem::kAutomata), 0u);
   EXPECT_EQ(root.total_bytes(), 0u);  // all scopes released at job exit
-}
-
-TEST(MemConcurrencyTest, PerJobBudgetFailsEveryJobIndependently) {
-  NfaPool pool = MakePool(24, 77);
-  ContainmentBatchOptions options;
-  options.jobs = 4;
-  options.algo = ContainmentAlgo::kExplicit;
-  options.memory_budget_bytes = 1;
-  // Without this, the first trip cancels the rest of the queue and the
-  // per-job verdicts become a race between kResourceExhausted and
-  // kCancelled.
-  options.cancel_on_error = false;
-  std::vector<LanguageContainmentResult> results =
-      CheckContainmentBatch(pool.jobs, options);
-  ASSERT_EQ(results.size(), pool.jobs.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].status.code(), StatusCode::kResourceExhausted)
-        << "job " << i << ": " << results[i].status.ToString();
-  }
 }
 
 TEST(MemConcurrencyTest, ParallelMultiSourceEvalChargesCallerPot) {
